@@ -126,25 +126,11 @@ class ClusterConfig:
     #: on the pressure subsystem (ballooning, KSM, swap) to absorb the
     #: difference when tenants actually touch their pages.
     overcommit_ratio: float = 1.0
-    #: Batched fault delivery / incremental index (bit-identical fast
-    #: paths, same flags as SimulationConfig).
-    batch_faults: bool = True
-    incremental_index: bool = True
-    #: Profiled hot-path batch kernels (bitset frame scans, span-level
-    #: map/free batches, quiescent-range touch cache, memoized TLB
-    #: evaluation, incremental consolidation scores) — bit-identical to
-    #: the per-frame reference paths; same flag as SimulationConfig.
-    fast_kernels: bool = True
-    #: Fleet IPC fast path (all bit-identical execution-strategy knobs,
-    #: excluded from the result-cache key like the two flags above).
-    #: ``fused_epochs`` collapses each epoch's churn ops and the step
-    #: into one fused round-trip per worker; False keeps the reference
-    #: one-blocking-call-per-event protocol selectable forever.
-    fused_epochs: bool = True
-    #: Ship ``HostView``s as changed-fields deltas (fused mode only).
-    view_deltas: bool = True
-    #: Drain worker-side epoch-record spools every N epochs (fused mode
-    #: only); None resolves ``REPRO_SPOOL_EPOCHS`` or the default (8).
+    # Execution-strategy knobs of the parallel fleet: they change how
+    # hosts are stepped and how records travel, never the result, and
+    # are excluded from the result-cache key.
+    #: Drain worker-side epoch-record spools every N epochs (N > 0);
+    #: None resolves ``REPRO_SPOOL_EPOCHS`` or the default (8).
     spool_epochs: int | None = None
     #: Drop to in-process hosts when parallelism cannot win (single-core
     #: sandboxes up front, measured first-epoch IPC-vs-compute after);
@@ -167,3 +153,5 @@ class ClusterConfig:
             raise ValueError(
                 f"overcommit_ratio below 1.0: {self.overcommit_ratio}"
             )
+        if self.spool_epochs is not None and self.spool_epochs <= 0:
+            raise ValueError(f"spool_epochs must be positive: {self.spool_epochs}")

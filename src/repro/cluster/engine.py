@@ -13,20 +13,17 @@ One :class:`ClusterSimulation` drives N hosts epoch by epoch:
 
 Hosts live on a :class:`~repro.exec.actors.ActorPool`: each host is owned
 by one worker for the whole run, so host graphs never travel (except a
-migrating tenant, which is the point of a migration).  On the **fused
-protocol** (``ClusterConfig.fused_epochs``, the default) per-epoch
-traffic collapses to one round-trip per worker: the controller decides
-the epoch's churn events up front — patching its own
+migrating tenant, which is the point of a migration).  Per-epoch traffic
+is **fused** into one round-trip per worker: the controller decides the
+epoch's churn events up front — patching its own
 :class:`~repro.cluster.host.HostView` copies with the exact, locally
 computable effect of each arrival — and ships the event ops together
 with the step command as a single batch per worker.  Views come back as
 changed-field deltas, and per-epoch records stay spooled inside the
-workers, drained as one compressed blob every ``spool_epochs``.  The
-reference protocol (``fused_epochs=False``) keeps the original
-blocking-call-per-event shape selectable forever, and the two are
-bit-identical — as are serial (``workers=1``, hosts in-process) and
-parallel runs of the same seed, because the controller makes every
-decision from the views alone.
+workers, drained as one compressed blob every ``spool_epochs``.  Serial
+(``workers=1``, hosts in-process) and parallel runs of the same seed are
+bit-identical, because the controller makes every decision from the
+views alone.
 
 When parallelism cannot win, the engine does not pay for it: fleets
 smaller than ``REPRO_MIN_PARALLEL`` hosts never spawn a pool (mirroring
@@ -63,7 +60,7 @@ from repro.exec.actors import ActorPool
 from repro.exec.cache import ResultCache, code_version
 from repro.exec.pool import min_parallel_threshold, resolve_workers
 from repro.mem.layout import MIB, PAGE_SIZE
-from repro.workloads import Workload, make_workload
+from repro.workloads import make_workload
 
 __all__ = [
     "DEFAULT_SPOOL_EPOCHS",
@@ -94,7 +91,7 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _resolve_spool(config: ClusterConfig) -> int:
-    if config.spool_epochs is not None and config.spool_epochs > 0:
+    if config.spool_epochs is not None:
         return config.spool_epochs
     return max(1, _env_int("REPRO_SPOOL_EPOCHS", DEFAULT_SPOOL_EPOCHS))
 
@@ -108,38 +105,10 @@ def _resolve_adaptive(config: ClusterConfig) -> bool:
 
 # ----------------------------------------------------------------------
 # Actor functions: run on the worker that owns the host.  Module-level so
-# the pool can pickle them by reference.  The ``_act_*`` trio returning
-# fresh views is the reference protocol; the ``_queue_*`` variants return
-# nothing (the controller already knows, or will learn from the fused
-# step's view delta) so queued churn ops add no reply traffic.
+# the pool can pickle them by reference.  The ``_queue_*`` churn ops
+# return nothing (the controller already knows, or will learn from the
+# fused step's view delta), so they add no reply traffic.
 # ----------------------------------------------------------------------
-
-
-def _act_step(
-    host: Host, epoch: int
-) -> tuple[list[HostEpochRecord], list[TenantEpochRecord], HostView]:
-    host.step_epoch(epoch)
-    host_records, tenant_records = host.drain_records()
-    return host_records, tenant_records, host.publish_view()
-
-
-def _act_add_tenant(
-    host: Host, ordinal: int, guest_mib: int, workload: Workload, epoch: int
-) -> HostView:
-    host.add_tenant(ordinal, guest_mib, workload, epoch)
-    return host.publish_view()
-
-
-def _act_destroy_tenant(host: Host, ordinal: int) -> HostView:
-    host.destroy_tenant(ordinal)
-    return host.publish_view()
-
-
-def _act_resize_tenant(
-    host: Host, ordinal: int, grow: bool, fraction: float
-) -> HostView:
-    host.resize_tenant(ordinal, grow, fraction)
-    return host.publish_view()
 
 
 def _queue_add_tenant(
@@ -161,13 +130,13 @@ def _queue_resize_tenant(
     host.resize_tenant(ordinal, grow, fraction)
 
 
-def _act_refresh_view(host: Host, deltas: bool) -> tuple:
-    return host.publish_view_payload(deltas)
+def _act_refresh_view(host: Host) -> tuple:
+    return host.publish_view_payload()
 
 
-def _act_step_fused(host: Host, epoch: int, deltas: bool) -> tuple:
+def _act_step_fused(host: Host, epoch: int) -> tuple:
     host.step_epoch(epoch)
-    return host.publish_view_payload(deltas)
+    return host.publish_view_payload()
 
 
 def _act_migrate_out_fused(
@@ -217,9 +186,8 @@ def _reset_worker_obs(states: dict[int, Host]) -> None:
 
 
 def _drain_worker_obs(states: dict[int, Host]) -> bytes | None:
-    """Final-sweep epilogue: detach whatever telemetry the worker still
-    holds (reference protocol, or a retraction before the first fused
-    spool drain)."""
+    """Retraction epilogue: detach whatever telemetry the worker still
+    holds before its process goes away."""
     return obs.snapshot_blob()
 
 
@@ -239,7 +207,7 @@ class ClusterSimulation:
         #: The controller's picture of each host; all placement and
         #: consolidation decisions read this.  Updated by every view the
         #: workers publish, plus the controller's own exact patches for
-        #: queued arrivals on the fused protocol.
+        #: queued arrivals.
         self._views: list[HostView] = [host.summary() for host in self.hosts]
         #: ordinal -> index of the host currently running the VM.
         self._vm_host: dict[int, int] = {}
@@ -309,10 +277,7 @@ class ClusterSimulation:
                 started = time.perf_counter()
                 obs.set_context(host=None, epoch=epoch)
                 with obs.span("fleet.epoch"):
-                    if config.fused_epochs:
-                        self._epoch_fused(pool, epoch)
-                    else:
-                        self._epoch_reference(pool, epoch)
+                    self._epoch_fused(pool, epoch)
                 wall = time.perf_counter() - started
                 self.ipc_bytes_epochs.append(
                     pool.bytes_sent + pool.bytes_received - bytes_before
@@ -328,13 +293,9 @@ class ClusterSimulation:
                     self._obs_sweep_workers(pool)
                     pool.retract()
             # Bring the final host states home so callers can inspect
-            # them the same way after serial and parallel runs.
+            # them the same way after serial and parallel runs.  The last
+            # spool drain already carried the workers' final telemetry.
             self.ipc_peer_bytes = pool.peer_bytes
-            if not config.fused_epochs:
-                # The fused protocol's last spool drain already carried
-                # the workers' final snapshots; the reference protocol
-                # never spools, so sweep once before the states come home.
-                self._obs_sweep_workers(pool)
             self.hosts = pool.gather()
         except BaseException as error:
             if recorder is not None:
@@ -430,7 +391,6 @@ class ClusterSimulation:
             and epoch > 0
             and epoch % consolidation.every == 0
         )
-        deltas = self.config.view_deltas
         ops: list[tuple] = []
         arrivals: list[TraceEvent] = []
         # Trace order within an epoch is departures, resizes, then
@@ -472,16 +432,15 @@ class ClusterSimulation:
             # placement and consolidation are about to read must be
             # refreshed — one round-trip for all queued ops plus one
             # view payload per touched host.
-            self._flush(pool, ops, deltas)
+            self._flush(pool, ops)
             ops = []
         for event in arrivals:
             self._queue_arrival(event, epoch, ops)
         if consolidating:
             if ops:
-                # Arrivals must land before migrations may move them
-                # (and the reference protocol consolidates after all
-                # events); their view effect is already patched in, so
-                # no refresh is needed.
+                # Arrivals must land before migrations may move them;
+                # their view effect is already patched in, so no
+                # refresh is needed.
                 pool.submit(ops)
                 pool.drain()
                 ops = []
@@ -490,7 +449,7 @@ class ClusterSimulation:
             (epoch + 1) % self._spool_every == 0
             or epoch == self.config.epochs - 1
         )
-        step_args = (epoch, deltas)
+        step_args = (epoch,)
         for index in range(len(self.hosts)):
             ops.append((index, _act_step_fused, step_args))
         pool.submit(
@@ -510,12 +469,10 @@ class ClusterSimulation:
                 obs.merge_blob(obs_blob)
             self._merge_spooled()
 
-    def _flush(self, pool: ActorPool, ops: list[tuple], deltas: bool) -> None:
+    def _flush(self, pool: ActorPool, ops: list[tuple]) -> None:
         """Run queued ops and refresh the views of every touched host."""
         touched = sorted({index for index, _, _ in ops})
-        pool.submit(
-            ops + [(index, _act_refresh_view, (deltas,)) for index in touched]
-        )
+        pool.submit(ops + [(index, _act_refresh_view, ()) for index in touched])
         for payload in pool.drain()[len(ops):]:
             self._ingest_view(payload)
 
@@ -560,8 +517,7 @@ class ClusterSimulation:
         # queued add, so later decisions in this epoch see what a
         # blocking round-trip would have returned: adding a tenant only
         # shrinks committed capacity and registers an (empty) resident
-        # set — it allocates nothing — which the fused-vs-reference
-        # equivalence test pins down.
+        # set — it allocates nothing.
         view = self._views[index]
         self._set_view(replace(
             view,
@@ -587,12 +543,12 @@ class ClusterSimulation:
         self._views[index] = view
 
     def _merge_spooled(self) -> None:
-        """Append drained records in the reference protocol's order.
+        """Append drained records epoch-major, host-minor.
 
         Hosts drain in index order and keep their records in generation
-        order, so a stable sort by ``(epoch, host)`` reproduces exactly
-        the order the per-epoch protocol appends in: epoch-major,
-        host-minor, generation order within.
+        order, so a stable sort by ``(epoch, host)`` gives the same order
+        at every spool interval: epoch-major, host-minor, generation
+        order within.
         """
         if not self._spooled:
             return
@@ -608,99 +564,6 @@ class ClusterSimulation:
         self.result.tenant_epochs.extend(tenant_records)
 
     # ------------------------------------------------------------------
-    # Reference protocol: one blocking call per event, records and full
-    # views every epoch.  Kept selectable forever as the semantic anchor
-    # the fused path must stay bit-identical to.
-    # ------------------------------------------------------------------
-
-    def _epoch_reference(self, pool: ActorPool, epoch: int) -> None:
-        consolidation = self.config.consolidation
-        self._apply_events(pool, epoch)
-        if (
-            consolidation.every > 0
-            and epoch > 0
-            and epoch % consolidation.every == 0
-        ):
-            self._consolidate(pool, epoch)
-        outputs = pool.map(_act_step, [(epoch,)] * len(self.hosts))
-        for host_records, tenant_records, view in outputs:
-            self.result.host_epochs.extend(host_records)
-            self.result.tenant_epochs.extend(tenant_records)
-            self._set_view(view)
-
-    # ------------------------------------------------------------------
-    # Churn events (reference protocol)
-    # ------------------------------------------------------------------
-
-    def _apply_events(self, pool: ActorPool, epoch: int) -> None:
-        for event in self._events.get(epoch, ()):
-            if event.kind == "arrive":
-                self._arrive(pool, event, epoch)
-            elif event.ordinal in self._vm_host:
-                index = self._vm_host[event.ordinal]
-                if event.kind == "depart":
-                    view = pool.apply(_act_destroy_tenant, index, event.ordinal)
-                    self._committed[index] -= self._guest_pages.pop(
-                        event.ordinal
-                    )
-                    del self._vm_host[event.ordinal]
-                    obs.emit_at(
-                        "fleet.depart",
-                        None,
-                        epoch,
-                        ordinal=event.ordinal,
-                        on=index,
-                    )
-                else:
-                    view = pool.apply(
-                        _act_resize_tenant,
-                        index,
-                        event.ordinal,
-                        event.grow,
-                        event.delta_fraction,
-                    )
-                    obs.emit_at(
-                        "fleet.resize",
-                        None,
-                        epoch,
-                        ordinal=event.ordinal,
-                        on=index,
-                        grow=event.grow,
-                    )
-                self._set_view(view)
-
-    def _arrive(self, pool: ActorPool, event: TraceEvent, epoch: int) -> None:
-        guest_pages = event.guest_mib * MIB // PAGE_SIZE
-        needed = int(guest_pages * self.config.placement_headroom)
-        index = self.placement.select(self._views, needed)
-        if index is None:
-            self.result.placement_failures += 1
-            obs.emit_at(
-                "fleet.place_fail",
-                None,
-                epoch,
-                ordinal=event.ordinal,
-                needed=needed,
-            )
-            return
-        obs.emit_at(
-            "fleet.place",
-            None,
-            epoch,
-            ordinal=event.ordinal,
-            workload=event.workload,
-            guest_mib=event.guest_mib,
-            on=index,
-        )
-        workload = make_workload(event.workload)
-        self._set_view(pool.apply(
-            _act_add_tenant, index, event.ordinal, event.guest_mib, workload, epoch
-        ))
-        self._vm_host[event.ordinal] = index
-        self._guest_pages[event.ordinal] = guest_pages
-        self._committed[index] += guest_pages
-
-    # ------------------------------------------------------------------
     # Consolidation (OpenStack-Neat-style: overload shedding, then
     # underload draining; every decision deterministic — hosts in index
     # order, tenants in ordinal order, budget-capped)
@@ -713,12 +576,10 @@ class ClusterSimulation:
     def _host_score(self, index: int) -> tuple:
         """(overloaded, underloaded, cheapest ordinal) of the host's
         current view; cached per host and recomputed only when
-        :meth:`_set_view` saw the view change (``fast_kernels`` off
-        recomputes every time)."""
-        if self.config.fast_kernels:
-            score = self._scores[index]
-            if score is not None:
-                return score
+        :meth:`_set_view` saw the view change."""
+        score = self._scores[index]
+        if score is not None:
+            return score
         view = self._views[index]
         consolidation = self.config.consolidation
         # The cheapest VM to move: the smallest resident set.
@@ -739,8 +600,7 @@ class ClusterSimulation:
             bool(view.residents) and view.utilization < consolidation.underload,
             cheapest,
         )
-        if self.config.fast_kernels:
-            self._scores[index] = score
+        self._scores[index] = score
         return score
 
     def _consolidate_body(self, pool: ActorPool, epoch: int) -> None:
@@ -786,46 +646,27 @@ class ClusterSimulation:
         if destination is None:
             return False
         migration = self.config.migration
-        if self.config.fused_epochs:
-            # Data-plane migration: the tenant graph moves worker-to-
-            # worker; the controller sees two commands and two compact
-            # replies.
-            (resident, schedule, src_view), dst_view = pool.transfer(
-                source,
-                destination,
-                _act_migrate_out_fused,
-                (ordinal, migration),
-                _act_migrate_in_fused,
-                (migration,),
-            )
-            self._set_view(src_view)
-            self._set_view(dst_view)
-            record = build_record(
-                epoch=epoch,
-                ordinal=ordinal,
-                source=source,
-                destination=destination,
-                reason=reason,
-                schedule=schedule,
-                resident_pages=resident,
-            )
-        else:
-            tenant, state, runs, schedule, src_view = pool.apply(
-                migrate_out, source, ordinal, migration
-            )
-            self._set_view(src_view)
-            self._set_view(pool.apply(
-                migrate_in, destination, tenant, state, runs, migration
-            ))
-            record = build_record(
-                epoch=epoch,
-                ordinal=ordinal,
-                source=source,
-                destination=destination,
-                reason=reason,
-                schedule=schedule,
-                runs=runs,
-            )
+        # Data-plane migration: the tenant graph moves worker-to-worker;
+        # the controller sees two commands and two compact replies.
+        (resident, schedule, src_view), dst_view = pool.transfer(
+            source,
+            destination,
+            _act_migrate_out_fused,
+            (ordinal, migration),
+            _act_migrate_in_fused,
+            (migration,),
+        )
+        self._set_view(src_view)
+        self._set_view(dst_view)
+        record = build_record(
+            epoch=epoch,
+            ordinal=ordinal,
+            source=source,
+            destination=destination,
+            reason=reason,
+            schedule=schedule,
+            resident_pages=resident,
+        )
         self.result.migrations.append(record)
         obs.emit_at(
             "fleet.migrate",
@@ -852,13 +693,8 @@ class ClusterSimulation:
 
 #: ClusterConfig fields that select bit-identical execution strategies;
 #: excluded from the content key so every combination shares cache
-#: entries (enforced by the protocol-equivalence tests).
+#: entries (enforced by the serial/parallel equivalence tests).
 EXECUTION_STRATEGY_FIELDS = (
-    "batch_faults",
-    "incremental_index",
-    "fast_kernels",
-    "fused_epochs",
-    "view_deltas",
     "spool_epochs",
     "adaptive_parallel",
     "wire_compression",
@@ -868,11 +704,10 @@ EXECUTION_STRATEGY_FIELDS = (
 def fleet_key(config: ClusterConfig) -> str:
     """Content key of one fleet run: same key == same result.
 
-    Like :func:`repro.exec.cache.cell_key`, the bit-identical fast-path
-    knobs (:data:`EXECUTION_STRATEGY_FIELDS` — fault batching, the
-    incremental index, and the fused IPC protocol's fusion/delta/spool/
-    adaptive switches) are excluded so all settings share cache entries,
-    and the code version is folded in so editing the simulator
+    The worker-pool knobs (:data:`EXECUTION_STRATEGY_FIELDS` — record
+    spooling, adaptive retraction and wire compression) are excluded so
+    all settings share cache entries, and the code version is folded in,
+    as in :func:`repro.exec.cache.cell_key`, so editing the simulator
     invalidates stale results.
     """
     payload = asdict(config)

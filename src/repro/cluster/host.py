@@ -21,18 +21,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.cluster.results import (
-    HostEpochRecord,
-    TenantEpochRecord,
-    encode_records,
-)
+from repro.cluster.results import HostEpochRecord, TenantEpochRecord
 from repro.core.runtime import GeminiRuntime
 from repro.hypervisor.balloon import BalloonDriver
 from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
 from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
-from repro.metrics.alignment import alignment_report
 from repro.metrics.performance import epoch_performance
 from repro.policies.base import EpochTelemetry
 from repro.policies.registry import system_spec
@@ -64,42 +59,16 @@ def resident_runs(vm: VM) -> list[tuple[int, int]]:
     of the few events that sheds it.
     """
     table = vm.guest.table(PROCESS)
-    if vm.guest.fast_kernels:
-        # Span kernel: huge mappings are already aligned 512-page runs and
-        # their guest-physical blocks never overlap base-mapped frames
-        # (both come from disjoint gpa-space allocations), so the sorted
-        # union of pages equals the sorted merge of the two run lists.
-        runs = [
-            (gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
-            for _, gpregion in table.huge_mappings()
-        ]
-        start = count = 0
-        for gpn in sorted({gpn for _, gpn in table.base_mappings()}):
-            if count and gpn == start + count:
-                count += 1
-                continue
-            if count:
-                runs.append((start, count))
-            start, count = gpn, 1
-        if count:
-            runs.append((start, count))
-        runs.sort()
-        merged: list[tuple[int, int]] = []
-        for rstart, rcount in runs:
-            if merged and rstart == merged[-1][0] + merged[-1][1]:
-                merged[-1] = (merged[-1][0], merged[-1][1] + rcount)
-            else:
-                merged.append((rstart, rcount))
-        return merged
-    gpns: set[int] = set()
-    for _, gpregion in table.huge_mappings():
-        base = gpregion * PAGES_PER_HUGE
-        gpns.update(range(base, base + PAGES_PER_HUGE))
-    for _, gpn in table.base_mappings():
-        gpns.add(gpn)
-    runs: list[tuple[int, int]] = []
+    # Huge mappings are already aligned 512-page runs and their
+    # guest-physical blocks never overlap base-mapped frames (both come
+    # from disjoint gpa-space allocations), so the sorted union of pages
+    # equals the sorted merge of the two run lists.
+    runs = [
+        (gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
+        for _, gpregion in table.huge_mappings()
+    ]
     start = count = 0
-    for gpn in sorted(gpns):
+    for gpn in sorted({gpn for _, gpn in table.base_mappings()}):
         if count and gpn == start + count:
             count += 1
             continue
@@ -108,7 +77,14 @@ def resident_runs(vm: VM) -> list[tuple[int, int]]:
         start, count = gpn, 1
     if count:
         runs.append((start, count))
-    return runs
+    runs.sort()
+    merged: list[tuple[int, int]] = []
+    for rstart, rcount in runs:
+        if merged and rstart == merged[-1][0] + merged[-1][1]:
+            merged[-1] = (merged[-1][0], merged[-1][1] + rcount)
+        else:
+            merged.append((rstart, rcount))
+    return merged
 
 
 def resident_pages(vm: VM) -> int:
@@ -206,10 +182,7 @@ class Host:
         self.config = config
         self.spec = system_spec(config.system)
         self.platform = Platform.with_mib(config.host_mib, self.spec.make_host())
-        self.platform.batch_faults = config.batch_faults
-        self.platform.use_index = config.incremental_index
-        self.platform.fast_kernels = config.fast_kernels
-        self.tlb_model = TLBModel(config.tlb, memoize=config.fast_kernels)
+        self.tlb_model = TLBModel(config.tlb)
         # Distinct noise stream per host: a large odd stride keeps the
         # per-host seeds disjoint from the per-tenant workload seeds.
         self.noise = NoiseAgent(
@@ -255,8 +228,7 @@ class Host:
         self._last_misses = 0.0
         self._host_snapshot = self.platform.host.ledger.snapshot()
         # Records accumulate here (also while stepping inside a worker
-        # process) and are drained by the engine — every epoch on the
-        # reference protocol, every ``spool_epochs`` on the fused one.
+        # process) and are drained by the engine every ``spool_epochs``.
         self._tenant_records: list[TenantEpochRecord] = []
         self._host_records: list[HostEpochRecord] = []
         #: The last view shipped to the controller — the shared baseline
@@ -345,10 +317,10 @@ class Host:
         self._view_baseline = view
         return view
 
-    def publish_view_payload(self, deltas: bool = True) -> tuple:
+    def publish_view_payload(self) -> tuple:
         """Encode the current view for the wire.
 
-        ``("full", view)`` on the first publish (or with *deltas* off),
+        ``("full", view)`` on the first publish,
         ``("d", index, mask, values)`` afterwards — only fields that
         changed since the last published view travel, addressed by a
         position bitmask rather than name strings, and the controller
@@ -356,7 +328,7 @@ class Host:
         """
         base = self._view_baseline
         view = self.publish_view()
-        if not deltas or base is None:
+        if base is None:
             return ("full", view)
         mask = 0
         values = []
@@ -371,11 +343,6 @@ class Host:
         host_records, self._host_records = self._host_records, []
         tenant_records, self._tenant_records = self._tenant_records, []
         return host_records, tenant_records
-
-    def drain_spool(self, compress: bool = True) -> tuple:
-        """Drain accumulated records as one wire blob (fused protocol)."""
-        host_records, tenant_records = self.drain_records()
-        return encode_records(host_records, tenant_records, compress=compress)
 
     # ------------------------------------------------------------------
     # Tenant lifecycle
@@ -512,13 +479,7 @@ class Host:
                     background_cycles=guest_delta.background_cycles
                     + host_delta.background_cycles * host_share,
                 )
-                vm_index = self.platform.index_of(vm.id)
-                if vm_index is not None:
-                    report = vm_index.report()
-                else:
-                    report = alignment_report(
-                        vm.guest.table(PROCESS), self.platform.ept(vm.id)
-                    )
+                report = self.platform.index_of(vm.id).report()
                 guest_fmfi = fmfi(vm.gpa_space)
                 self._tenant_records.append(
                     TenantEpochRecord(

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
-from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.mm import PROCESS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,7 +67,6 @@ class MisalignedScanner:
         for vm in self.platform.iter_vms():
             guest_table = vm.guest.table(PROCESS)
             ept = self.platform.ept(vm.id)
-            index = self.platform.index_of(vm.id)
             guest_targets: set[int] = set()
             misaligned_guest: list[int] = []
             # The mis-aligned lists stay enumeration-based even with the
@@ -89,16 +87,10 @@ class MisalignedScanner:
                 result.misaligned_guest[vm.id] = misaligned_guest
             if misaligned_host:
                 result.misaligned_host[vm.id] = misaligned_host
-            if index is not None:
-                # Only membership in the live set matters downstream, so
-                # the index's counter-maintained set (identical contents)
-                # replaces the O(base-mappings) walk.
-                result.live_regions[vm.id] = index.live_set()
-            else:
-                live = set(guest_targets)
-                for _, gpn in guest_table.base_mappings():
-                    live.add(gpn // PAGES_PER_HUGE)
-                result.live_regions[vm.id] = live
+            # Only membership in the live set matters downstream, so the
+            # index's counter-maintained set stands in for a walk of
+            # every base mapping.
+            result.live_regions[vm.id] = self.platform.index_of(vm.id).live_set()
         self.platform.host.charge_scan(result.scanned)
         self.scans += 1
         return result

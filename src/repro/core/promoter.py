@@ -136,38 +136,27 @@ class GuestPromoter:
 
     def _dominant_owner(self, layer: MemoryLayer, gpregion: int) -> int | None:
         """The guest virtual region owning the most frames of *gpregion*."""
+        # The guest owner index gives each virtual region's frame count.
+        # A tied maximum falls back to scanning the occupied frames: the
+        # tie-break is first-seen frame order, which the counts cannot
+        # reproduce; a unique maximum is order-independent.
         buckets = layer.region_owner_counts(gpregion)
-        if buckets is not None:
-            # Owner-count fast path: same per-vregion totals as the
-            # 512-probe scan below.  A tied maximum falls back to the scan
-            # — the reference tie-break is first-seen frame order, which
-            # the counts cannot reproduce; a unique maximum is
-            # order-independent.
-            if not buckets:
-                return None
-            summed: dict[int, int] = {}
-            for (_, vregion), count in buckets.items():
-                summed[vregion] = summed.get(vregion, 0) + count
-            best_count = max(summed.values())
-            tied = [v for v, c in summed.items() if c == best_count]
-            if len(tied) == 1:
-                return tied[0]
+        if not buckets:
+            return None
+        summed: dict[int, int] = {}
+        for (_, vregion), count in buckets.items():
+            summed[vregion] = summed.get(vregion, 0) + count
+        best_count = max(summed.values())
+        tied = [v for v, c in summed.items() if c == best_count]
+        if len(tied) == 1:
+            return tied[0]
         counts: dict[int, int] = {}
         start = gpregion * PAGES_PER_HUGE
-        bits = layer.rmap_bits(gpregion) if layer.fast_kernels else None
-        frames = (
-            _iter_set_bits(start, bits)
-            if bits is not None
-            else range(start, start + PAGES_PER_HUGE)
-        )
-        for frame in frames:
+        for frame in _iter_set_bits(start, layer.rmap_bits(gpregion)):
             owner = layer.owner_of_frame(frame)
             if owner is not None:
-                _, vpn = owner
-                vregion = vpn // PAGES_PER_HUGE
+                vregion = owner[1] // PAGES_PER_HUGE
                 counts[vregion] = counts.get(vregion, 0) + 1
-        if not counts:
-            return None
         return max(counts, key=counts.get)
 
     def _evict_blockers(self, layer: MemoryLayer, gpregion: int, vregion: int) -> int:
@@ -185,15 +174,8 @@ class GuestPromoter:
         # Snapshot bitset iteration: the loop body only ever clears the
         # *current* frame's occupancy bit (relocations move pages out of
         # the region, scratch frames live outside it), so walking the
-        # snapshot visits exactly the frames the 512-probe walk finds
-        # occupied, in the same ascending order.
-        bits = layer.rmap_bits(gpregion) if layer.fast_kernels else None
-        frames = (
-            _iter_set_bits(start, bits)
-            if bits is not None
-            else range(start, start + PAGES_PER_HUGE)
-        )
-        for frame in frames:
+        # snapshot visits every occupied frame in ascending order.
+        for frame in _iter_set_bits(start, layer.rmap_bits(gpregion)):
             owner = layer.owner_of_frame(frame)
             if owner is None:
                 continue

@@ -47,23 +47,6 @@ class SimulationConfig:
     noise_free_fraction: float = 0.5
     #: Random seed (fragmenter, workload churn, noise).
     seed: int = 42
-    #: Serve multi-page touches through the batched fault path.  The batch
-    #: path is bit-identical to per-page faulting (enforced by tests) and
-    #: several times faster; False keeps the per-page reference path for
-    #: equivalence checks.
-    batch_faults: bool = True
-    #: Maintain the incremental translation-state index (per-region
-    #: summaries, live alignment counters, classification caches) so
-    #: per-epoch work is O(changed regions) instead of O(all regions).
-    #: Bit-identical to the reference enumerate-everything path (enforced
-    #: by tests); False keeps the reference path for equivalence checks.
-    incremental_index: bool = True
-    #: Serve the profiled hot paths through batch kernels: bitset frame
-    #: scans, span-level map/unmap/free batches, the quiescent-range touch
-    #: cache, and memoized TLB segment evaluation.  Bit-identical to the
-    #: per-frame reference paths (enforced by the equivalence suite);
-    #: False forces the reference paths everywhere.
-    fast_kernels: bool = True
     #: Gemini runtime tunables, including the Figure 16 ablation switches
     #: (only used when the system is Gemini).
     gemini: GeminiConfig = field(default_factory=GeminiConfig)

@@ -27,7 +27,7 @@ from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
 from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.layout import PAGES_PER_HUGE
-from repro.metrics.alignment import alignment_report, classify_region
+from repro.metrics.alignment import classify_region
 from repro.metrics.performance import epoch_performance
 from repro.policies.base import EpochTelemetry
 from repro.policies.registry import system_spec
@@ -55,8 +55,8 @@ def build_segments(
 
     Shared by :class:`Simulation` and the cluster's per-host stepping:
     walks the workload's access phases, classifies each touched 2 MiB
-    region against both page tables (through the VM's translation index
-    when present), and spreads the epoch's accesses over the resulting
+    region against both page tables (cached in the VM's translation
+    index), and spreads the epoch's accesses over the resulting
     translation kinds.
     """
     segments: list[TranslationSegment] = []
@@ -79,12 +79,11 @@ def build_segments(
             # page the region depends on is still EPT-translated (any
             # removal invalidates the cache), so backfill_host would be
             # a pure no-op — skip both on a hit.
-            classes = None if vm_index is None else vm_index.cached_classes(vregion)
+            classes = vm_index.cached_classes(vregion)
             if classes is None:
                 backfill_host(platform, vm, vregion)
                 classes = classify_region(guest_table, ept, vregion)
-                if vm_index is not None:
-                    vm_index.store_classes(vregion, classes)
+                vm_index.store_classes(vregion, classes)
             for cls in classes:
                 entries[cls.kind] = entries.get(cls.kind, 0) + cls.entries
                 pages[cls.kind] = pages.get(cls.kind, 0) + cls.pages
@@ -118,15 +117,9 @@ def backfill_host(platform: Platform, vm: VM, vregion: int) -> None:
         gpregion = guest_table.huge_target(vregion)
         if ept.is_huge(gpregion):
             return
-        base = gpregion * PAGES_PER_HUGE
-        if platform.batch_faults:
-            # Contiguous ascending range, no fault hook on this path:
-            # the batched walk makes the identical per-page decisions.
-            platform.host.fault_range(vm.id, base, PAGES_PER_HUGE)
-            return
-        for gpn in range(base, base + PAGES_PER_HUGE):
-            if ept.translate(gpn) is None:
-                platform.host.fault(vm.id, gpn, full_region=True)
+        # Contiguous ascending range, no fault hook on this path: the
+        # batched walk makes the identical per-page decisions.
+        platform.host.fault_range(vm.id, gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
         return
     for _, gpn in guest_table.region_items(vregion):
         if ept.translate(gpn) is None:
@@ -171,12 +164,7 @@ class Simulation:
         self.platform = Platform.with_mib(
             self.config.host_mib, self.spec.make_host(), nodes=self.config.nodes
         )
-        self.platform.batch_faults = self.config.batch_faults
-        # Must be set before the VMs are created below: the index attaches
-        # its table watchers in create_vm.
-        self.platform.use_index = self.config.incremental_index
-        self.platform.fast_kernels = self.config.fast_kernels
-        self.tlb_model = TLBModel(self.config.tlb, memoize=self.config.fast_kernels)
+        self.tlb_model = TLBModel(self.config.tlb)
         self.noise = NoiseAgent(
             self.platform,
             rate=self.config.noise_rate,
@@ -363,13 +351,7 @@ class Simulation:
                     sync_mm_cycles=sync_mm,
                     background_cycles=background,
                 )
-                vm_index = self.platform.index_of(vm.id)
-                if vm_index is not None:
-                    report = vm_index.report()
-                else:
-                    report = alignment_report(
-                        vm.guest.table(PROCESS), self.platform.ept(vm.id)
-                    )
+                report = self.platform.index_of(vm.id).report()
                 guest_fmfi = fmfi(vm.gpa_space)
                 results[index].epochs.append(
                     EpochRecord(

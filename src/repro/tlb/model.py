@@ -115,23 +115,20 @@ class TLBModel:
     #: long churn of unique signatures cannot grow it without bound.
     MEMO_LIMIT = 4096
 
-    def __init__(self, config: TLBConfig | None = None, memoize: bool = False) -> None:
+    def __init__(self, config: TLBConfig | None = None) -> None:
         self.config = config or TLBConfig()
-        #: Reuse results for repeated segment signatures.  The evaluation
-        #: is a pure function of the segment tuple (all inputs are frozen
+        #: Memo of results by segment signature.  The evaluation is a
+        #: pure function of the segment tuple (all inputs are frozen
         #: dataclasses) and callers treat the returned stats as read-only,
         #: so replaying a cached result is exact.
-        self.memoize = memoize
         self._memo: dict[tuple[TranslationSegment, ...], TranslationStats] = {}
 
     def evaluate(self, segments: list[TranslationSegment]) -> TranslationStats:
         """Compute expected misses and walk cycles for one epoch."""
-        key: tuple[TranslationSegment, ...] | None = None
-        if self.memoize:
-            key = tuple(segments)
-            cached = self._memo.get(key)
-            if cached is not None:
-                return cached
+        key = tuple(segments)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
         stats = TranslationStats()
         remaining = self.config.effective_entries
         ordered = sorted(
@@ -160,8 +157,7 @@ class TLBModel:
                     SegmentResult(segment=segment, resident_entries=0.0, misses=0.0)
                 )
                 stats.accesses += max(segment.accesses, 0.0)
-        if key is not None:
-            if len(self._memo) >= self.MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = stats
+        if len(self._memo) >= self.MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = stats
         return stats

@@ -66,30 +66,21 @@ def test_serial_and_parallel_runs_are_identical(monkeypatch):
     assert serial == parallel
 
 
-def test_fused_matches_reference_protocol():
-    # The fused single-round-trip protocol must be a pure execution
-    # strategy: byte-identical results to the per-event blocking path.
-    reference = ClusterSimulation(
-        replace(SMALL, fused_epochs=False, view_deltas=False)
-    ).run(workers=1)
-    fused = ClusterSimulation(SMALL).run(workers=1)
-    assert reference == fused
-
-
 @pytest.mark.parametrize("spool", [1, 3, 100])
-@pytest.mark.parametrize("deltas", [True, False])
-def test_parallel_identical_across_spool_and_delta_knobs(
-    monkeypatch, spool, deltas
-):
-    # Spool drains must splice records back in reference order at every
+def test_parallel_identical_across_spool_intervals(monkeypatch, spool):
+    # Spool drains must splice records back in epoch-major order at every
     # drain boundary, and view deltas must reconstruct exact views.
     monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
     serial = ClusterSimulation(SMALL).run(workers=1)
-    config = replace(
-        SMALL, spool_epochs=spool, view_deltas=deltas, adaptive_parallel=False
-    )
+    config = replace(SMALL, spool_epochs=spool, adaptive_parallel=False)
     parallel = ClusterSimulation(config).run(workers=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("spool", [0, -1])
+def test_non_positive_spool_epochs_rejected(spool):
+    with pytest.raises(ValueError, match="spool_epochs"):
+        replace(SMALL, spool_epochs=spool)
 
 
 def test_tiny_fleet_never_spawns_a_pool(monkeypatch):
@@ -118,7 +109,7 @@ def test_parallel_run_counts_ipc_bytes(monkeypatch):
     assert sim.ipc_bytes_per_epoch > 0.0
 
 
-def test_view_deltas_reconstruct_summaries():
+def test_view_delta_reconstructs_summaries():
     from repro.cluster.host import Host, apply_view_delta
     from repro.workloads import make_workload
 
@@ -171,12 +162,9 @@ def test_fleet_key_ignores_fast_path_flags():
     from repro.cluster.engine import EXECUTION_STRATEGY_FIELDS
 
     config = ClusterConfig(hosts=2, epochs=4)
-    assert fleet_key(config) == fleet_key(replace(config, batch_faults=False))
     assert fleet_key(config) == fleet_key(
         replace(
             config,
-            fused_epochs=False,
-            view_deltas=False,
             spool_epochs=3,
             adaptive_parallel=False,
             wire_compression=False,

@@ -31,12 +31,6 @@ def test_key_is_deterministic_and_content_sensitive():
     assert cell_key(make_cell()) != cell_key(reseeded)
 
 
-def test_key_ignores_batch_faults():
-    """Batched and per-page runs are bit-identical, so they share entries."""
-    per_page = make_cell(config=replace(CONFIG, batch_faults=False))
-    assert cell_key(make_cell()) == cell_key(per_page)
-
-
 def test_key_distinguishes_primer():
     def factory():  # pragma: no cover - never called by cell_key
         raise AssertionError

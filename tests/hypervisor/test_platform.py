@@ -6,6 +6,9 @@ from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.policies.base import HugePagePolicy
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import Simulation
+from repro.workloads.suite import make_workload
 
 
 class HostHugePolicy(HugePagePolicy):
@@ -127,3 +130,30 @@ def test_with_mib_constructors():
 
 def test_vm_process_constant():
     assert PROCESS == 0
+
+
+def test_touch_range_matches_touch_loop():
+    """touch_range over a fresh VMA leaves the exact mapping and allocator
+    state of per-page touch, huge faults included."""
+    config = SimulationConfig(
+        epochs=1, guest_mib=128, host_mib=384, fragment_guest=0.7,
+        fragment_host=0.7, noise_rate=0.0,
+    )
+
+    def build(batch):
+        sim = Simulation(make_workload("Redis"), system="THP", config=config)
+        vm = sim._vms[0]
+        vma = vm.mmap(3 * PAGES_PER_HUGE + 17, "probe")
+        if batch:
+            sim.platform.touch_range(vm, vma.start, vma.npages)
+        else:
+            for vpn in range(vma.start, vma.end):
+                sim.platform.touch(vm, vpn)
+        guest = {
+            vpn: vm.guest.translate(0, vpn) for vpn in range(vma.start, vma.end)
+        }
+        host_free = sim.platform.memory.free_regions()
+        guest_free = vm.gpa_space.free_regions()
+        return guest, host_free, guest_free
+
+    assert build(True) == build(False)

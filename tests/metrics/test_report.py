@@ -79,17 +79,13 @@ def test_format_bench_fleet():
             "serial_seconds": 10.9065,
             "parallel_seconds": 4.21,
             "speedup_parallel_vs_serial": 2.59,
-            "ipc_bytes_per_epoch_legacy": 2612750.0,
             "ipc_bytes_per_epoch_fused": 2537.0,
-            "ipc_reduction_factor": 1029.9,
             "ipc_peer_bytes_fused": 5227051,
         }
     }
     table = format_bench_fleet(bench)
     assert "8 hosts x 12 epochs" in table
-    assert "| legacy per-event | 2,612,750 |" in table
     assert "| fused batches | 2,537 |" in table
-    assert "1,029.9x" in table
     assert "5,227,051" in table
     assert "2.59x" in table
 

@@ -63,28 +63,6 @@ def test_serial_and_parallel_event_streams_match(monkeypatch):
     assert _by_host(parallel_events) == _by_host(serial_events)
 
 
-def test_fused_and_reference_streams_match(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    fused_result, fused_events, _ = _run(
-        replace(SMALL, adaptive_parallel=False), workers=1
-    )
-    ref_result, ref_events, _ = _run(
-        replace(SMALL, adaptive_parallel=False, fused_epochs=False), workers=1
-    )
-    assert ref_result == fused_result
-    assert _by_host(ref_events) == _by_host(fused_events)
-
-
-def test_reference_protocol_parallel_stream_matches(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=False, fused_epochs=False)
-    _, serial_events, _ = _run(config, workers=1)
-    _, parallel_events, forked = _run(config, workers=2)
-    if not forked:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert _by_host(parallel_events) == _by_host(serial_events)
-
-
 def test_sampled_streams_match_across_layouts(monkeypatch):
     # Stride sampling is per (kind, host) stream and survives spool
     # resets, so even a sampled log is layout-independent.

@@ -89,14 +89,6 @@ def test_serial_and_parallel_pressured_runs_are_identical(monkeypatch):
     assert serial.fleet_swap_out_pages > 0
 
 
-def test_fused_matches_reference_protocol_under_pressure():
-    reference = ClusterSimulation(
-        replace(PRESSURED, fused_epochs=False, view_deltas=False)
-    ).run(workers=1)
-    fused = ClusterSimulation(PRESSURED).run(workers=1)
-    assert reference == fused
-
-
 def _run_traced(config, workers):
     obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))
     sim = ClusterSimulation(config)
@@ -174,4 +166,4 @@ def test_pressure_config_is_not_an_execution_strategy():
     off = replace(PRESSURED, pressure=PressureConfig())
     assert fleet_key(off) != aware
     # Worker count / wire-protocol toggles still do not change the key.
-    assert fleet_key(replace(PRESSURED, fused_epochs=False)) == aware
+    assert fleet_key(replace(PRESSURED, spool_epochs=1)) == aware
