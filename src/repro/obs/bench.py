@@ -7,10 +7,11 @@ report against the recent history with noise-aware thresholds:
 
 * the baseline per metric is the **median** of the last *K* recorded
   values, so a single noisy run does not poison the gate;
-* only metrics with a known "better" direction are gated — names
-  ending in ``_seconds``/``_ns``/``_s`` regress when they grow, names
-  containing ``speedup``/``factor``/``reduction`` regress when they
-  shrink — everything else is informational;
+* only metrics with a known "better" direction are gated — throughput
+  names ending in ``_per_sec``/``_per_s`` and names containing
+  ``speedup``/``factor``/``reduction`` regress when they shrink, other
+  names ending in ``_seconds``/``_ns``/``_s`` regress when they grow —
+  everything else is informational;
 * the gate is **fail-soft** by design: CI surfaces regressions as
   warnings (``repro bench compare``), and only ``--strict`` turns them
   into a non-zero exit.
@@ -37,6 +38,7 @@ DEFAULT_WINDOW = 5
 #: Default relative drift that flags a regression.
 DEFAULT_THRESHOLD = 0.25
 
+_RATE_SUFFIXES = ("_per_sec", "_per_s")
 _LOWER_IS_BETTER = ("_seconds", "_ns", "_s")
 _HIGHER_IS_BETTER = ("speedup", "factor", "reduction")
 
@@ -58,6 +60,9 @@ def flatten_metrics(report: dict, prefix: str = "") -> dict[str, float]:
 def metric_direction(name: str) -> str:
     """``"lower"``, ``"higher"`` or ``"info"`` for a metric name."""
     leaf = name.rsplit(".", 1)[-1]
+    # Before the suffix rule: ``_per_s`` would otherwise read as seconds.
+    if leaf.endswith(_RATE_SUFFIXES):
+        return "higher"
     if leaf.endswith(_LOWER_IS_BETTER):
         return "lower"
     if any(token in leaf for token in _HIGHER_IS_BETTER):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from repro import obs
 from repro.mem.buddy import AllocationError
 from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
 from repro.mem.physmem import PhysicalMemory
@@ -120,6 +121,10 @@ class MemoryLayer:
         #: count of *additional* mappings beyond the first.  A shared frame
         #: is only freed when its last reference is released.
         self._frame_refs: dict[int, int] = {}
+        #: last refused compaction per virtual region: (client, vregion)
+        #: -> (target pregion, blocking vpn).  A hint only: every call
+        #: re-checks the page before trusting it.
+        self._compact_witness: dict[tuple[int, int], tuple[int, int]] = {}
         policy.attach(self)
 
     # ------------------------------------------------------------------
@@ -553,15 +558,13 @@ class MemoryLayer:
         a TLB shoot-down.
         """
         table = self.table(client)
-        if table.is_huge(vregion):
-            return False
-        mappings = table.region_mappings(vregion)
-        if not mappings:
+        # A huge region has no base mappings, so this also refuses it.
+        if not table.region_population(vregion):
             return False
         pregion = self.alloc_huge_region()
         if pregion is None:
             return False
-        table.unmap_region_base(vregion)
+        mappings = table.unmap_region_base(vregion)
         self._drop_rmap_region(client, vregion, mappings)
         self._free_frames_batch(mappings.values())
         table.map_huge(vregion, pregion)
@@ -585,26 +588,45 @@ class MemoryLayer:
         mis-aligned huge page at the other layer into a well-aligned one:
         the target region is dictated by the other layer's huge page.  The
         move succeeds only if each destination frame is free or already
-        holds the right page; returns False (without side effects)
-        otherwise.
+        holds the right page.
+
+        A refusal leaves the simulated state unchanged and records the
+        region's *witness*: the target and the first page found off-target
+        with a non-free destination.  Gemini's promoter retries the same
+        infeasible move every epoch, so a call for that target first
+        re-checks the witness page alone and refuses in O(1) while it still
+        blocks.  A witness that no longer blocks falls back to the scan, so
+        every answer is the one a full scan would give.
         """
         table = self.table(client)
         if table.is_huge(vregion):
             return False
-        mappings = table.region_mappings(vregion)
-        if not mappings:
+        shift = (pregion - vregion) * PAGES_PER_HUGE  # destination - vpn
+        key = (client, vregion)
+        witness = self._compact_witness.get(key)
+        if witness is not None and witness[0] == pregion:
+            vpn = witness[1]
+            pfn = table.translate(vpn)
+            if (
+                pfn is not None
+                and pfn != vpn + shift
+                and not self.memory.is_free(vpn + shift)
+            ):
+                obs.count("compact.refuted_by_witness")
+                return False
+        items = table.region_items(vregion)
+        if not items:
             return False
-        base = pregion * PAGES_PER_HUGE
-        vbase = vregion * PAGES_PER_HUGE
-        desired = {vpn: base + (vpn - vbase) for vpn in mappings}
-        moves = {
-            vpn: dst
-            for vpn, dst in desired.items()
-            if mappings[vpn] != dst
-        }
-        if not all(self.memory.is_free(dst) for dst in moves.values()):
-            return False
-        for dst in moves.values():
+        is_free = self.memory.is_free
+        for vpn, pfn in items:
+            if pfn != vpn + shift and not is_free(vpn + shift):
+                self._compact_witness[key] = (pregion, vpn)
+                obs.count("compact.refuted_by_scan")
+                return False
+        self._compact_witness.pop(key, None)
+        desired = {vpn: vpn + shift for vpn, _ in items}
+        moves = [vpn + shift for vpn, pfn in items if pfn != vpn + shift]
+        for dst in moves:
             self.memory.alloc_at(dst, 0)
         old = table.remap_region(vregion, desired)
         for vpn, dst in desired.items():
@@ -770,6 +792,12 @@ class MemoryLayer:
         table = self._tables.pop(client, None)
         if table is None:
             return 0
+        if self._compact_witness:
+            self._compact_witness = {
+                key: witness
+                for key, witness in self._compact_witness.items()
+                if key[0] != client
+            }
         freed = 0
         for vregion, pregion in list(table.huge_mappings()):
             table.unmap_huge(vregion)

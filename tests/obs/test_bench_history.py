@@ -38,6 +38,10 @@ def test_metric_direction():
     assert metric_direction("telemetry.disabled_call_ns") == "lower"
     assert metric_direction("fleet.speedup_parallel_vs_serial") == "higher"
     assert metric_direction("fleet.ipc_reduction_factor") == "higher"
+    # Throughput: neither informational nor read as seconds by ``_s``.
+    assert metric_direction("matrix.serial_cells_per_sec") == "higher"
+    assert metric_direction("matrix.warm_cells_per_sec") == "higher"
+    assert metric_direction("svm_steady.tenant_epochs_per_s") == "higher"
     assert metric_direction("fleet.hosts") == "info"
 
 

@@ -1,11 +1,11 @@
 """Hypothesis model check of one MemoryLayer under a random op stream.
 
 The layer runs a random stream of faults, range faults, promotions,
-demotions, unmaps, frame sharing and client teardowns.  After every
-operation it is checked against a small pure model — the set of mapped
-virtual pages plus a ledger of the references ``share`` adds to frames
-(a KSM-style sharer outside the page table) — and against its own
-bookkeeping:
+compactions, demotions, unmaps, frame sharing and client teardowns.
+After every operation it is checked against a small pure model — the
+set of mapped virtual pages plus a ledger of the references ``share``
+adds to frames (a KSM-style sharer outside the page table) — and
+against its own bookkeeping:
 
 * the layer maps exactly the model's pages, and its extra-reference
   counts match the ledger;
@@ -15,9 +15,13 @@ bookkeeping:
   agree entry for entry;
 * the owner index and the occupancy bitsets the promoter iterates equal
   the ground truth recomputed from the reverse map.
+
+A compaction must also return what a fresh scan of the region decides,
+whether or not ``compact_region`` answers from the witness it kept for
+an earlier refusal.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.promoter import _iter_set_bits
@@ -91,6 +95,22 @@ def apply_op(layer: MemoryLayer, model: Model, op, region, offset, span) -> None
                 model.mapped |= vregion_pages
         elif op == "promote_inplace":
             layer.try_promote_in_place(PROCESS, region)
+        elif op == "compact":
+            # Oracle from the state before the call: a base-mapped region
+            # whose every page is at its destination or may move there.
+            target = offset % REGIONS
+            shift = (target - region) * PAGES_PER_HUGE
+            table = layer.table(PROCESS)
+            pages = table.region_mappings(region)
+            feasible = bool(pages) and all(
+                pfn == vpn + shift or layer.memory.is_free(vpn + shift)
+                for vpn, pfn in pages.items()
+            )
+            mapped = set(translations(layer))
+            assert layer.compact_region(PROCESS, region, target) == feasible
+            assert set(translations(layer)) == mapped
+            if feasible:
+                assert all(table.translate(vpn) == vpn + shift for vpn in pages)
         elif op == "demote":
             if layer.has_client(PROCESS) and layer.table(PROCESS).is_huge(region):
                 layer.demote(PROCESS, region)
@@ -165,6 +185,7 @@ OPS = st.lists(
                 "fault_range",
                 "promote_mig",
                 "promote_inplace",
+                "compact",
                 "demote",
                 "unmap_region",
                 "unmap_partial",
@@ -181,8 +202,46 @@ OPS = st.lists(
 )
 
 
+#: Random streams rarely repeat a compaction; these do.  Region 0 is
+#: blocked from target 1 by region 1's pages and refused by the scan,
+#: then by the witness, until the witness goes stale: its blocker is
+#: freed, the witness page is unmapped, or the page lands on its
+#: destination (promotion into region 1, then demotion).
+BLOCKED_BY_REGION = [
+    ("fault_range", 0, 0, PAGES_PER_HUGE),
+    ("fault_range", 1, 0, PAGES_PER_HUGE),
+    ("compact", 0, 1, 1),
+    ("compact", 0, 1, 1),
+    ("unmap_region", 1, 0, 1),
+    ("compact", 0, 1, 1),
+]
+BLOCKED_BY_PAGES = [
+    ("fault_range", 0, 0, PAGES_PER_HUGE),
+    ("fault_range", 1, 0, 2),
+    ("compact", 0, 1, 1),
+    ("compact", 0, 1, 1),
+    ("unmap_partial", 0, 0, 1),
+    ("compact", 0, 1, 1),
+    ("compact", 0, 1, 1),
+    ("unmap_partial", 0, 1, 1),
+    ("compact", 0, 1, 1),
+]
+MOVED_INTO_PLACE = [
+    ("fault_range", 0, 0, PAGES_PER_HUGE),
+    ("fault", 1, 0, 1),
+    ("compact", 0, 1, 1),
+    ("unmap_region", 1, 0, 1),
+    ("promote_mig", 0, 0, 1),
+    ("demote", 0, 0, 1),
+    ("compact", 0, 1, 1),
+]
+
+
 @settings(max_examples=25, deadline=None)
 @given(ops=OPS)
+@example(ops=BLOCKED_BY_REGION)
+@example(ops=BLOCKED_BY_PAGES)
+@example(ops=MOVED_INTO_PLACE)
 def test_layer_matches_pure_model(ops):
     layer = make_layer()
     model = Model()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.mem.physmem import PhysicalMemory
 from repro.os.mm import MemoryLayer, OutOfMemory
@@ -187,6 +188,133 @@ def test_compact_then_promote_in_place():
     assert layer.compact_region(0, 0, 5)
     assert layer.try_promote_in_place(0, 0)
     assert layer.table(0).huge_target(0) == 5
+
+
+#: First frame of the compaction target region in the witness tests.
+TARGET = 4 * PAGES_PER_HUGE
+
+
+@pytest.fixture
+def counters():
+    """The telemetry counters of the test, which runs with obs enabled."""
+    obs.disable()
+    yield obs.enable(obs.Telemetry()).counters
+    obs.disable()
+
+
+def refusals(counters):
+    """(witness hits, scan refusals) recorded by ``compact_region``."""
+    return (
+        counters.get("compact.refuted_by_witness", 0),
+        counters.get("compact.refuted_by_scan", 0),
+    )
+
+
+def blocked_layer(*blockers):
+    """Region 0 holds vpns 0-9 at frames 0-9; a foreign allocation holds
+    the frame each vpn in *blockers* needs in target region 4."""
+    layer = make_layer()
+    for vpn in range(10):
+        layer.fault(0, vpn)
+    for vpn in blockers:
+        layer.memory.alloc_at(TARGET + vpn, 0)
+    return layer
+
+
+def compacted(layer, target=TARGET, vpns=range(10)):
+    return all(layer.translate(0, vpn) == target + vpn for vpn in vpns)
+
+
+def test_compact_witness_refuses_until_blocker_freed(counters):
+    layer = blocked_layer(3)
+    assert not layer.compact_region(0, 0, 4)
+    assert not layer.compact_region(0, 0, 4)
+    assert refusals(counters) == (1, 1)
+    layer.memory.free(TARGET + 3, 0)
+    assert layer.compact_region(0, 0, 4)
+    assert compacted(layer)
+    assert layer.ledger.sync["pages_copied"].count == 10
+    assert layer._compact_witness == {}
+
+
+def test_compact_witness_unmapped_blocker_falls_back_to_scan(counters):
+    layer = blocked_layer(3, 7)
+    assert not layer.compact_region(0, 0, 4)
+    layer.unmap_range(0, 3, 1)
+    # The witness page is gone; the scan finds the next blocker.
+    assert not layer.compact_region(0, 0, 4)
+    assert refusals(counters) == (0, 2)
+    assert not layer.compact_region(0, 0, 4)
+    assert refusals(counters) == (1, 2)
+    layer.unmap_range(0, 7, 1)
+    assert layer.compact_region(0, 0, 4)
+    assert compacted(layer, vpns=[0, 1, 2, 4, 5, 6, 8, 9])
+    assert layer.translate(0, 3) is None and layer.translate(0, 7) is None
+
+
+def test_compact_witness_relocated_in_place_falls_back_to_scan(counters):
+    layer = blocked_layer(3)
+    assert not layer.compact_region(0, 0, 4)
+    # The blocker moves onto its destination: that frame is still not
+    # free, but the page holding it is the right one.
+    layer.memory.free(TARGET + 3, 0)
+    assert layer.relocate_page(0, 3, TARGET + 3)
+    assert layer.compact_region(0, 0, 4)
+    assert refusals(counters) == (0, 1)
+    assert compacted(layer)
+    assert layer.ledger.sync["pages_copied"].count == 1 + 9
+
+
+def test_compact_witness_never_refuses_another_target(counters):
+    layer = blocked_layer(3)
+    layer.memory.alloc_at(5 * PAGES_PER_HUGE + 3, 0)  # blocks target 5 too
+    assert not layer.compact_region(0, 0, 4)
+    assert not layer.compact_region(0, 0, 5)
+    assert refusals(counters) == (0, 2)
+    assert layer.compact_region(0, 0, 6)
+    assert refusals(counters) == (0, 2)
+    assert compacted(layer, target=6 * PAGES_PER_HUGE)
+
+
+def test_release_client_drops_its_compact_witnesses(counters):
+    layer = blocked_layer(3)
+    for vpn in range(10):
+        layer.fault(1, vpn)
+    assert not layer.compact_region(0, 0, 4)
+    assert not layer.compact_region(1, 0, 4)
+    layer.release_client(0)
+    assert set(layer._compact_witness) == {(1, 0)}
+    # A rebuilt client 0 is judged by a scan, not by its old witness.
+    for vpn in range(10):
+        layer.fault(0, vpn)
+    assert not layer.compact_region(0, 0, 4)
+    assert refusals(counters) == (0, 3)
+
+
+def test_migration_promotion_without_huge_region_changes_nothing():
+    layer = make_layer(pages=2 * PAGES_PER_HUGE)
+    layer.enable_owner_index()
+    for vpn in range(100):
+        layer.fault(0, vpn)
+    layer.memory.alloc_at(PAGES_PER_HUGE + 256, 0)  # no free huge region
+    table = layer.table(0)
+
+    def state():
+        ledger = layer.ledger
+        return (
+            dict(table.base_mappings()),
+            dict(table.huge_mappings()),
+            dict(layer._rmap_base),
+            layer.rmap_bits(0),
+            dict(layer.region_owner_counts(0)),
+            {name: (c.count, c.cycles) for name, c in ledger.sync.items()},
+            {name: (c.count, c.cycles) for name, c in ledger.background.items()},
+            layer.memory.free_pages,
+        )
+
+    before = state()
+    assert not layer.promote_with_migration(0, 0)
+    assert state() == before
 
 
 def test_demote_restores_rmap():
