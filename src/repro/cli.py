@@ -24,10 +24,6 @@ Commands
 ``diff``
     Compare two exported trace directories: per-host event-stream
     divergence, counter deltas and attributed span self-time changes.
-``bench``
-    Bench-history tools; ``repro bench compare`` gates a fresh
-    ``BENCH_perf.json`` against ``BENCH_history.jsonl`` with
-    noise-aware thresholds (fail-soft unless ``--strict``).
 
 ``run``, ``experiment`` and ``cluster`` accept ``--profile [N]`` (or the
 ``REPRO_PROFILE`` environment variable) to wrap the command in
@@ -160,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--spool-epochs", type=int, default=None, metavar="K",
-        help="drain worker record spools every K epochs "
-        "(default: $REPRO_SPOOL_EPOCHS or 8)",
+        help="drain worker record spools every K epochs (default 8)",
     )
     cluster.add_argument(
         "--no-adaptive", dest="adaptive", action="store_false",
@@ -208,31 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--strict", action="store_true",
         help="exit non-zero when the deterministic state diverges",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="bench-history tools (repro bench compare)"
-    )
-    bench.add_argument("action", choices=["compare"])
-    bench.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="PATH",
-        help="bench history JSONL (default BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--fresh", default="BENCH_perf.json", metavar="PATH",
-        help="fresh perf-smoke report to gate (default BENCH_perf.json)",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.25, metavar="R",
-        help="relative drift that flags a regression (default 0.25)",
-    )
-    bench.add_argument(
-        "--window", type=int, default=5, metavar="K",
-        help="history runs the baseline median is taken over (default 5)",
-    )
-    bench.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on regressions (default: fail-soft warnings)",
     )
     return parser
 
@@ -525,41 +495,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench compare``: gate a perf report against history."""
-    import os
-    import pathlib
-
-    from repro.metrics.report import format_bench_compare
-    from repro.obs import bench
-
-    fresh_path = pathlib.Path(args.fresh)
-    if not fresh_path.exists():
-        print(f"bench report not found: {fresh_path}")
-        return 1
-    import json
-
-    report = json.loads(fresh_path.read_text())
-    history = bench.load_history(args.history)
-    if not history:
-        print(f"no bench history at {args.history}; nothing to compare")
-        return 0
-    comparison = bench.compare_history(
-        history, report, threshold=args.threshold, window=args.window
-    )
-    print(format_bench_compare(comparison, args.threshold))
-    if comparison.regressions and os.environ.get("GITHUB_ACTIONS"):
-        for drift in comparison.regressions:
-            print(
-                f"::warning title=bench-history::{drift.name} "
-                f"{drift.baseline:.4g} -> {drift.value:.4g} "
-                f"({drift.drift:+.1%})"
-            )
-    if args.strict and not comparison.ok:
-        return 1
-    return 0
-
-
 def _export_trace() -> None:
     """Write the collected telemetry to the requested trace directory."""
     out_dir = obs.trace_out_dir()
@@ -606,8 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list()
     if args.command == "diff":
         return _cmd_diff(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     _apply_exec_args(args)
     obs.configure_from_env()
     top = _profile_top(args)

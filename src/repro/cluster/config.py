@@ -130,15 +130,11 @@ class ClusterConfig:
     # hosts are stepped and how records travel, never the result, and
     # are excluded from the result-cache key.
     #: Drain worker-side epoch-record spools every N epochs (N > 0);
-    #: None resolves ``REPRO_SPOOL_EPOCHS`` or the default (8).
+    #: None resolves to the default (8).
     spool_epochs: int | None = None
     #: Drop to in-process hosts when parallelism cannot win (single-core
-    #: sandboxes up front, measured first-epoch IPC-vs-compute after);
-    #: ``REPRO_FLEET_ADAPTIVE=0/1`` overrides.
+    #: sandboxes up front, measured first-epoch IPC-vs-compute after).
     adaptive_parallel: bool = True
-    #: zlib-compress large pool messages (migrating VM graphs, record
-    #: spools); small messages stay raw.
-    wire_compression: bool = True
     #: Nested knob groups.
     churn: ChurnConfig = field(default_factory=ChurnConfig)
     migration: MigrationConfig = field(default_factory=MigrationConfig)

@@ -78,29 +78,15 @@ MIN_PARALLEL_HOSTS = 4
 
 #: Epochs a worker spools records for between bulk drains.  Sized so one
 #: drain (tens of records per host, compressed) dwarfs pipe latency
-#: while keeping worker memory bounded; ``REPRO_SPOOL_EPOCHS`` or
-#: ``ClusterConfig.spool_epochs`` override.
+#: while keeping worker memory bounded; ``ClusterConfig.spool_epochs``
+#: overrides.
 DEFAULT_SPOOL_EPOCHS = 8
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "").strip())
-    except ValueError:
-        return default
 
 
 def _resolve_spool(config: ClusterConfig) -> int:
     if config.spool_epochs is not None:
         return config.spool_epochs
-    return max(1, _env_int("REPRO_SPOOL_EPOCHS", DEFAULT_SPOOL_EPOCHS))
-
-
-def _resolve_adaptive(config: ClusterConfig) -> bool:
-    raw = os.environ.get("REPRO_FLEET_ADAPTIVE", "").strip()
-    if raw:
-        return raw != "0"
-    return config.adaptive_parallel
+    return DEFAULT_SPOOL_EPOCHS
 
 
 # ----------------------------------------------------------------------
@@ -260,11 +246,8 @@ class ClusterSimulation:
     def run(self, workers: int | None = None) -> FleetResult:
         """Run all epochs; *workers* > 1 steps hosts on a process pool."""
         config = self.config
-        adaptive = _resolve_adaptive(config)
-        pool = ActorPool(
-            self._effective_workers(workers, adaptive),
-            compress_wire=config.wire_compression,
-        )
+        adaptive = config.adaptive_parallel
+        pool = ActorPool(self._effective_workers(workers, adaptive))
         pool.scatter(self.hosts)
         self._obs_reset_workers(pool)
         self._spool_every = _resolve_spool(config)
@@ -697,7 +680,6 @@ class ClusterSimulation:
 EXECUTION_STRATEGY_FIELDS = (
     "spool_epochs",
     "adaptive_parallel",
-    "wire_compression",
 )
 
 
@@ -705,9 +687,9 @@ def fleet_key(config: ClusterConfig) -> str:
     """Content key of one fleet run: same key == same result.
 
     The worker-pool knobs (:data:`EXECUTION_STRATEGY_FIELDS` — record
-    spooling, adaptive retraction and wire compression) are excluded so
-    all settings share cache entries, and the code version is folded in,
-    as in :func:`repro.exec.cache.cell_key`, so editing the simulator
+    spooling and adaptive retraction) are excluded so all settings share
+    cache entries, and the code version is folded in, as in
+    :func:`repro.exec.cache.cell_key`, so editing the simulator
     invalidates stale results.
     """
     payload = asdict(config)

@@ -114,14 +114,14 @@ def _dumps(obj) -> bytes:
     return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
 
 
-def _encode_wire(blob: bytes, compress: bool) -> bytes:
+def _encode_wire(blob: bytes) -> bytes:
     """Frame one pickle for the pipe: ``\\x00`` raw or ``\\x01`` zlib.
 
     Compression is attempted only above the threshold and kept only when
     it actually shrinks the blob, so small messages pay exactly one
     marker byte and incompressible ones never regress.
     """
-    if compress and len(blob) > WIRE_COMPRESS_THRESHOLD:
+    if len(blob) > WIRE_COMPRESS_THRESHOLD:
         packed = zlib.compress(blob, 1)
         if len(packed) < len(blob):
             return b"\x01" + packed
@@ -165,7 +165,6 @@ def _portable_exception(exc: BaseException) -> BaseException:
 def _worker_main(
     conn: Connection,
     states: dict[int, object],
-    compress: bool,
     peers: dict[int, Connection],
 ) -> None:
     """Child process loop: execute fused op batches against owned states."""
@@ -195,11 +194,9 @@ def _worker_main(
                 except BaseException:
                     # Unblock the destination before reporting the
                     # failure, or it would wait on the peer pipe forever.
-                    peers[dst].send_bytes(
-                        _encode_wire(_dumps(("err",)), False)
-                    )
+                    peers[dst].send_bytes(_encode_wire(_dumps(("err",))))
                     raise
-                blob = _encode_wire(_dumps(("ok", peer_payload)), compress)
+                blob = _encode_wire(_dumps(("ok", peer_payload)))
                 peers[dst].send_bytes(blob)
                 payload = (
                     "ok", [reply], len(blob), time.perf_counter() - started
@@ -242,17 +239,14 @@ def _worker_main(
             blob = _dumps(payload)
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
             blob = _dumps(("err", _portable_exception(exc)))
-        conn.send_bytes(_encode_wire(blob, compress))
+        conn.send_bytes(_encode_wire(blob))
 
 
 class ActorPool:
     """Workers that own state objects across calls."""
 
-    def __init__(
-        self, workers: int | None = None, compress_wire: bool = True
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = resolve_workers(workers)
-        self.compress_wire = compress_wire
         self._local: list | None = None
         self._procs: list = []
         self._conns: list[Connection] = []
@@ -326,12 +320,7 @@ class ActorPool:
                 parent_conn, child_conn = context.Pipe()
                 proc = context.Process(
                     target=_worker_main,
-                    args=(
-                        child_conn,
-                        owned[slot],
-                        self.compress_wire,
-                        peers[slot],
-                    ),
+                    args=(child_conn, owned[slot], peers[slot]),
                     daemon=True,
                 )
                 proc.start()
@@ -368,7 +357,7 @@ class ActorPool:
     def close(self) -> None:
         for conn in self._conns:
             try:
-                conn.send_bytes(_encode_wire(_dumps(None), False))
+                conn.send_bytes(_encode_wire(_dumps(None)))
                 conn.close()
             except OSError:
                 pass
@@ -390,7 +379,7 @@ class ActorPool:
     # ------------------------------------------------------------------
 
     def _send(self, conn: Connection, message) -> None:
-        data = _encode_wire(_dumps(message), self.compress_wire)
+        data = _encode_wire(_dumps(message))
         self.bytes_sent += len(data)
         conn.send_bytes(data)
 

@@ -163,12 +163,7 @@ def test_fleet_key_ignores_fast_path_flags():
 
     config = ClusterConfig(hosts=2, epochs=4)
     assert fleet_key(config) == fleet_key(
-        replace(
-            config,
-            spool_epochs=3,
-            adaptive_parallel=False,
-            wire_compression=False,
-        )
+        replace(config, spool_epochs=3, adaptive_parallel=False)
     )
     for field in EXECUTION_STRATEGY_FIELDS:
         assert hasattr(config, field)

@@ -236,7 +236,7 @@ def test_byte_counters_track_parallel_traffic_only():
         assert pool.bytes_sent > 0 and pool.bytes_received > 0
 
 
-def test_wire_compression_shrinks_large_messages():
+def test_large_messages_are_compressed_on_the_wire():
     compressible = bytes(1 << 20)  # a megabyte of zeros
     with ActorPool(2) as pool:
         pool.scatter(_states())

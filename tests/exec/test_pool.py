@@ -1,6 +1,7 @@
 """Tests for the parallel cell executor."""
 
 from repro.exec import Cell, ResultCache, execute_cell, resolve_workers, run_cells
+from repro.exec import pool
 from repro.experiments.common import run_matrix
 from repro.sim.config import SimulationConfig
 from repro.workloads.suite import make_workload
@@ -35,7 +36,9 @@ def test_serial_matches_execute_cell():
     ]
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
+    # Three cells sit under MIN_PARALLEL_CELLS: force the pool on.
+    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
     cells = [
         Cell("Redis", "THP", CONFIG),
         Cell("Redis", "Host-B-VM-B", CONFIG),
@@ -46,13 +49,26 @@ def test_parallel_matches_serial():
     )
 
 
-def test_unpicklable_cell_falls_back_to_serial():
+def test_unpicklable_cell_falls_back_to_serial(monkeypatch):
+    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
     cells = [
         Cell("Redis", "THP", CONFIG, primer_factory=lambda: make_workload("SVM")),
         Cell("SVM", "THP", CONFIG),
     ]
     results = run_cells(cells, workers=4, cache=None)
     assert [r.workload for r in results] == ["Redis", "SVM"]
+
+
+def test_small_batch_never_starts_a_pool(monkeypatch):
+    # Pool startup costs more than a batch under the threshold saves, so
+    # such a batch runs in-process whatever worker count is asked for.
+    monkeypatch.delenv("REPRO_MIN_PARALLEL", raising=False)
+    calls = []
+    monkeypatch.setattr(pool, "_run_pool", lambda *args: calls.append(args))
+    cells = [Cell("Redis", "THP", CONFIG), Cell("SVM", "THP", CONFIG)]
+    assert len(cells) < pool.MIN_PARALLEL_CELLS
+    run_cells(cells, workers=4, cache=None)
+    assert calls == []
 
 
 def test_cache_dedupes_within_and_across_calls(tmp_path):
@@ -82,7 +98,8 @@ def test_primed_cells_run_the_primer():
     assert plain != primed
 
 
-def test_run_matrix_workers_and_cache_equivalence(tmp_path):
+def test_run_matrix_workers_and_cache_equivalence(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
     workloads = ["Redis", "SVM"]
     systems = ["Host-B-VM-B", "Gemini"]
     serial = run_matrix(workloads, systems, config=SMALL)

@@ -143,6 +143,7 @@ def test_alignment_aware_retains_more_aligned_huge_pages():
         results[policy] = run_cluster(config)
     aware = results["alignment-aware"]
     lru = results["lru-cold"]
+    assert lru.fleet_swap_out_pages > 0
     assert lru.fleet_pressure_aligned_demotions > 0, (
         "the squeeze must be hard enough that lru-cold eats aligned pages"
     )

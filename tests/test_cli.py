@@ -270,39 +270,3 @@ def test_trace_out_prints_critical_path(tmp_path, capsys, _trace_env):
     out = capsys.readouterr().out
     assert "critical paths over" in out
     assert "where the time went" in out
-
-
-def test_bench_compare_command(tmp_path, capsys):
-    import json
-
-    from repro.obs.bench import append_history
-
-    report = {"fleet": {"serial_seconds": 2.0}}
-    history = tmp_path / "history.jsonl"
-    for _ in range(3):
-        append_history(report, history)
-    fresh = tmp_path / "fresh.json"
-
-    fresh.write_text(json.dumps({"fleet": {"serial_seconds": 2.1}}))
-    assert main(["bench", "compare", "--history", str(history),
-                 "--fresh", str(fresh)]) == 0
-    assert "no regressions" in capsys.readouterr().out
-
-    fresh.write_text(json.dumps({"fleet": {"serial_seconds": 4.0}}))
-    assert main(["bench", "compare", "--history", str(history),
-                 "--fresh", str(fresh)]) == 0  # fail-soft by default
-    assert "REGRESSION fleet.serial_seconds" in capsys.readouterr().out
-    assert main(["bench", "compare", "--history", str(history),
-                 "--fresh", str(fresh), "--strict"]) == 1
-    capsys.readouterr()
-
-
-def test_bench_compare_tolerates_missing_inputs(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert main(["bench", "compare", "--history",
-                 str(tmp_path / "h.jsonl"), "--fresh", str(missing)]) == 1
-    assert "bench report not found" in capsys.readouterr().out
-    missing.write_text('{"fleet": {"serial_seconds": 1.0}}')
-    assert main(["bench", "compare", "--history",
-                 str(tmp_path / "h.jsonl"), "--fresh", str(missing)]) == 0
-    assert "no bench history" in capsys.readouterr().out
