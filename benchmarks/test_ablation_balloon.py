@@ -7,51 +7,15 @@ alignment-aware rule (only mis-aligned / idle huge pages may be demoted).
 
 from conftest import write_result
 
-from repro.hypervisor.balloon import BalloonDriver
-from repro.mem.layout import PAGES_PER_HUGE
-from repro.sim import Simulation, SimulationConfig
-from repro.sim.results import RunResult
-from repro.workloads import make_workload
-
-
-def run_with_balloon(alignment_aware: bool):
-    config = SimulationConfig(epochs=12, fragment_guest=0.3, fragment_host=0.3)
-    sim = Simulation(make_workload("Masstree"), system="Gemini", config=config)
-    vm = sim._vms[0]
-    balloon = BalloonDriver(sim.platform, vm, alignment_aware=alignment_aware)
-
-    # Drive the run epoch by epoch, inflating/deflating between epochs.
-    results = [RunResult(system="Gemini", workload="Masstree")]
-    for epoch in range(config.epochs):
-        sim._epoch(epoch, results)
-        if epoch % 3 == 1:
-            balloon.inflate(2 * PAGES_PER_HUGE)
-        if epoch % 3 == 2:
-            balloon.deflate()
-    return results[0], balloon
+from repro.experiments.interplay import format_balloon, run_balloon_interplay
 
 
 def test_ablation_balloon(benchmark):
-    def run_both():
-        return run_with_balloon(True), run_with_balloon(False)
-
-    (aware, aware_balloon), (naive, naive_balloon) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
+    aware, naive = benchmark.pedantic(
+        lambda: run_balloon_interplay("Masstree"), rounds=1, iterations=1
     )
-    lines = [
-        "Ballooning interplay (Masstree under Gemini, periodic inflation):",
-        f"  alignment-aware: thr={aware.throughput:.3e} "
-        f"aligned={aware.well_aligned_rate:.0%} "
-        f"aligned huge pages demoted={aware_balloon.demoted_aligned_huge_pages}",
-        f"  naive:           thr={naive.throughput:.3e} "
-        f"aligned={naive.well_aligned_rate:.0%} "
-        f"aligned huge pages demoted={naive_balloon.demoted_aligned_huge_pages}",
-    ]
-    write_result("ablation_balloon", "\n".join(lines))
+    write_result("ablation_balloon", format_balloon([aware, naive]))
     # The alignment-aware rule demotes no more well-aligned huge pages
     # than the naive policy and performs at least as well.
-    assert (
-        aware_balloon.demoted_aligned_huge_pages
-        <= naive_balloon.demoted_aligned_huge_pages
-    )
-    assert aware.throughput >= 0.95 * naive.throughput
+    assert aware.aligned_demotions <= naive.aligned_demotions
+    assert aware.result.throughput >= 0.95 * naive.result.throughput

@@ -36,7 +36,7 @@ def main() -> None:
     for system in FIG2_SYSTEMS:
         sim = Simulation(RandomAccessMicrobench(64.0), system=system, config=config)
         sim.run_single()
-        vm = sim._vms[0]
+        vm = sim.tenants[0].vm
         guest = vm.guest.table(PROCESS)
         ept = sim.platform.ept(vm.id)
         aligned = sum(1 for _, gp in guest.huge_mappings() if ept.is_huge(gp))

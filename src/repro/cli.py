@@ -28,9 +28,8 @@ Commands
 ``run``, ``experiment`` and ``cluster`` accept ``--profile [N]`` (or the
 ``REPRO_PROFILE`` environment variable) to wrap the command in
 :mod:`cProfile` and print the top N functions by cumulative time.
-``cluster`` additionally exposes the worker-pool knobs
-(``--spool-epochs``, ``--no-adaptive``) — execution strategies that
-never change results.
+``cluster`` additionally exposes the worker-pool knob
+``--no-adaptive`` — an execution strategy that never changes results.
 
 Every command also takes the telemetry knobs ``--trace-out DIR``,
 ``--trace-events N`` and ``--trace-sample R`` (environment:
@@ -153,10 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--check-invariants", action="store_true",
         help="verify page conservation after every migration (debug)",
-    )
-    cluster.add_argument(
-        "--spool-epochs", type=int, default=None, metavar="K",
-        help="drain worker record spools every K epochs (default 8)",
     )
     cluster.add_argument(
         "--no-adaptive", dest="adaptive", action="store_false",
@@ -405,7 +400,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         placement=args.placement,
         fragment_host=args.fragment_host,
         migration=MigrationConfig(check_invariants=args.check_invariants),
-        spool_epochs=args.spool_epochs,
         adaptive_parallel=args.adaptive,
     )
     cache = (

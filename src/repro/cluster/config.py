@@ -126,14 +126,11 @@ class ClusterConfig:
     #: on the pressure subsystem (ballooning, KSM, swap) to absorb the
     #: difference when tenants actually touch their pages.
     overcommit_ratio: float = 1.0
-    # Execution-strategy knobs of the parallel fleet: they change how
-    # hosts are stepped and how records travel, never the result, and
-    # are excluded from the result-cache key.
-    #: Drain worker-side epoch-record spools every N epochs (N > 0);
-    #: None resolves to the default (8).
-    spool_epochs: int | None = None
     #: Drop to in-process hosts when parallelism cannot win (single-core
     #: sandboxes up front, measured first-epoch IPC-vs-compute after).
+    #: An execution strategy of the parallel fleet: it changes how hosts
+    #: are stepped, never the result, and is excluded from the
+    #: result-cache key.
     adaptive_parallel: bool = True
     #: Nested knob groups.
     churn: ChurnConfig = field(default_factory=ChurnConfig)
@@ -149,5 +146,3 @@ class ClusterConfig:
             raise ValueError(
                 f"overcommit_ratio below 1.0: {self.overcommit_ratio}"
             )
-        if self.spool_epochs is not None and self.spool_epochs <= 0:
-            raise ValueError(f"spool_epochs must be positive: {self.spool_epochs}")

@@ -20,7 +20,7 @@ epoch's churn events up front — patching its own
 computable effect of each arrival — and ships the event ops together
 with the step command as a single batch per worker.  Views come back as
 changed-field deltas, and per-epoch records stay spooled inside the
-workers, drained as one compressed blob every ``spool_epochs``.  Serial
+workers, drained as one compressed blob every ``SPOOL_EPOCHS``.  Serial
 (``workers=1``, hosts in-process) and parallel runs of the same seed are
 bit-identical, because the controller makes every decision from the
 views alone.
@@ -63,8 +63,8 @@ from repro.mem.layout import MIB, PAGE_SIZE
 from repro.workloads import make_workload
 
 __all__ = [
-    "DEFAULT_SPOOL_EPOCHS",
     "MIN_PARALLEL_HOSTS",
+    "SPOOL_EPOCHS",
     "ClusterSimulation",
     "fleet_key",
     "run_cluster",
@@ -78,15 +78,8 @@ MIN_PARALLEL_HOSTS = 4
 
 #: Epochs a worker spools records for between bulk drains.  Sized so one
 #: drain (tens of records per host, compressed) dwarfs pipe latency
-#: while keeping worker memory bounded; ``ClusterConfig.spool_epochs``
-#: overrides.
-DEFAULT_SPOOL_EPOCHS = 8
-
-
-def _resolve_spool(config: ClusterConfig) -> int:
-    if config.spool_epochs is not None:
-        return config.spool_epochs
-    return DEFAULT_SPOOL_EPOCHS
+#: while keeping worker memory bounded.
+SPOOL_EPOCHS = 8
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +209,6 @@ class ClusterSimulation:
         #: Spooled record chunks awaiting an ordered merge, as
         #: ``(host_records, tenant_records)`` per drained host.
         self._spooled: list[tuple] = []
-        self._spool_every = _resolve_spool(self.config)
         #: Wire traffic per epoch (controller<->workers, both ways); all
         #: zeros for in-process runs.  Diagnostics, deliberately kept off
         #: the (serial==parallel comparable) FleetResult.
@@ -250,10 +242,12 @@ class ClusterSimulation:
         pool = ActorPool(self._effective_workers(workers, adaptive))
         pool.scatter(self.hosts)
         self._obs_reset_workers(pool)
-        self._spool_every = _resolve_spool(config)
         self.ipc_bytes_epochs = []
-        telemetry, recorder, installed_monitor = self._obs_attach_health(pool)
-        try:
+        with pool, obs.health.armed(config) as recorder:
+            if recorder is not None:
+                pool.on_failure = lambda error: recorder.dump(
+                    "worker-exception", config=config, error=error
+                )
             for epoch in range(config.epochs):
                 pool.drain_window.clear()
                 bytes_before = pool.bytes_sent + pool.bytes_received
@@ -280,46 +274,7 @@ class ClusterSimulation:
             # spool drain already carried the workers' final telemetry.
             self.ipc_peer_bytes = pool.peer_bytes
             self.hosts = pool.gather()
-        except BaseException as error:
-            if recorder is not None:
-                recorder.dump("exception", config=config, error=error)
-            raise
-        finally:
-            if installed_monitor and telemetry is not None:
-                telemetry.monitor = None
-            pool.close()
         return self.result
-
-    def _obs_attach_health(self, pool: ActorPool):
-        """Install the health watchdogs for this run (controller only).
-
-        Workers never carry a monitor — ``_obs_reset_workers`` rebuilt
-        their registries bare — so each host's stream is audited exactly
-        once, in its canonical per-host order, whatever the process
-        layout.  With a trace directory configured, a flight recorder is
-        armed on watchdog breaches and worker exceptions.
-        """
-        telemetry = obs.get()
-        if telemetry is None:
-            return None, None, False
-        from repro.obs.health import FlightRecorder, HealthMonitor
-
-        installed = False
-        if telemetry.monitor is None:
-            telemetry.monitor = HealthMonitor()
-            installed = True
-        out_dir = obs.trace_out_dir()
-        recorder = None
-        if out_dir is not None:
-            recorder = FlightRecorder(telemetry, out_dir)
-            config = self.config
-            telemetry.monitor.on_breach = (
-                lambda finding: recorder.breach(finding, config=config)
-            )
-            pool.on_failure = lambda error: recorder.dump(
-                "worker-exception", config=config, error=error
-            )
-        return telemetry, recorder, installed
 
     def _obs_reset_workers(self, pool: ActorPool) -> None:
         """One post-scatter round-trip (telemetry on, real pool only)."""
@@ -429,8 +384,7 @@ class ClusterSimulation:
                 ops = []
             self._consolidate(pool, epoch)
         drain_spool = (
-            (epoch + 1) % self._spool_every == 0
-            or epoch == self.config.epochs - 1
+            (epoch + 1) % SPOOL_EPOCHS == 0 or epoch == self.config.epochs - 1
         )
         step_args = (epoch,)
         for index in range(len(self.hosts)):
@@ -677,18 +631,15 @@ class ClusterSimulation:
 #: ClusterConfig fields that select bit-identical execution strategies;
 #: excluded from the content key so every combination shares cache
 #: entries (enforced by the serial/parallel equivalence tests).
-EXECUTION_STRATEGY_FIELDS = (
-    "spool_epochs",
-    "adaptive_parallel",
-)
+EXECUTION_STRATEGY_FIELDS = ("adaptive_parallel",)
 
 
 def fleet_key(config: ClusterConfig) -> str:
     """Content key of one fleet run: same key == same result.
 
-    The worker-pool knobs (:data:`EXECUTION_STRATEGY_FIELDS` — record
-    spooling and adaptive retraction) are excluded so all settings share
-    cache entries, and the code version is folded in, as in
+    The worker-pool knob (:data:`EXECUTION_STRATEGY_FIELDS` — adaptive
+    retraction) is excluded so both settings share cache entries, and
+    the code version is folded in, as in
     :func:`repro.exec.cache.cell_key`, so editing the simulator
     invalidates stale results.
     """

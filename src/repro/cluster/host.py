@@ -1,5 +1,6 @@
-"""One fleet host: a :class:`~repro.hypervisor.platform.Platform` plus its
-tenants, noise agent, (optional) Gemini runtime and per-epoch stepping.
+"""One fleet host: the shared per-host stack of
+:class:`repro.sim.engine.HostStack` plus its tenants, their lifecycle and
+the views and records the fleet controller reads.
 
 A :class:`Host` is fully self-contained and picklable: the cluster engine
 can ship it to a worker process, step it there, and take the mutated copy
@@ -7,35 +8,22 @@ back — with results identical to stepping in place, because every source
 of randomness a host touches (its noise stream, its tenants' workload
 RNGs) lives inside the host and `random.Random` pickles its exact state.
 
-``step_epoch`` mirrors :meth:`repro.sim.engine.Simulation._epoch` —
-workloads run, ledger deltas are split between tenants, translation
-segments are classified and TLB-evaluated, daemons run between epochs —
-reusing the engine's shared helpers so the single-host and fleet paths
-cannot drift apart.
+``step_epoch`` runs the same epoch step as the single-host
+:class:`~repro.sim.engine.Simulation`; only the records it keeps differ.
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.cluster.results import HostEpochRecord, TenantEpochRecord
-from repro.core.runtime import GeminiRuntime
 from repro.hypervisor.balloon import BalloonDriver
-from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
-from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
-from repro.metrics.performance import epoch_performance
-from repro.policies.base import EpochTelemetry
-from repro.policies.registry import system_spec
-from repro.pressure.controller import PressureController
-from repro.sim.engine import build_segments, charge_dedup_cow
-from repro.sim.noise import NoiseAgent
-from repro.tlb.model import TLBModel
-from repro.workloads.base import Workload, WorkloadContext
+from repro.sim.engine import HostStack, Tenant
+from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.config import ClusterConfig
@@ -153,82 +141,37 @@ def apply_view_delta(base: HostView, mask: int, values: tuple) -> HostView:
     return replace(base, **changed)
 
 
-@dataclass
-class Tenant:
-    """One VM and everything that travels with it across hosts."""
-
-    ordinal: int
-    vm: VM
-    workload: Workload
-    ctx: WorkloadContext
-    balloon: BalloonDriver
-    arrived_epoch: int
-    epochs_run: int = 0
-    guest_snapshot: object = None
-    #: Guest-physical fragmenter pins (kept referenced so the pinned
-    #: pages stay allocated for the VM's lifetime).
-    fragmenter: Fragmenter | None = field(default=None, repr=False)
-
-    @property
-    def name(self) -> str:
-        return self.vm.name
-
-
-class Host:
-    """A fleet host: platform + tenants + per-host daemons."""
+class Host(HostStack):
+    """A fleet host: the per-host stack, its tenants, and the views and
+    records the controller reads."""
 
     def __init__(self, index: int, config: "ClusterConfig") -> None:
         self.index = index
-        self.config = config
-        self.spec = system_spec(config.system)
-        self.platform = Platform.with_mib(config.host_mib, self.spec.make_host())
-        self.tlb_model = TLBModel(config.tlb)
-        # Distinct noise stream per host: a large odd stride keeps the
-        # per-host seeds disjoint from the per-tenant workload seeds.
-        self.noise = NoiseAgent(
-            self.platform,
-            rate=config.noise_rate,
-            free_fraction=config.noise_free_fraction,
-            seed=config.seed + 7919 * index + 13,
-        )
-        self.noise.install()
-        self.runtime: GeminiRuntime | None = None
-        if self.spec.uses_gemini_runtime:
-            self.runtime = GeminiRuntime(self.platform, config.gemini)
-        #: Memory-pressure controller (None unless configured).  The swap
-        #: device RNG is salted by host index so hosts draw independent
-        #: latency streams from the same config seed.
-        self.pressure: PressureController | None = None
-        if config.pressure.enabled:
-            self.pressure = PressureController(
-                self.platform, config.pressure, salt=index
-            )
-
-        self.tenants: dict[int, Tenant] = {}
-        self._fragmenters: list[Fragmenter] = []
-        if config.fragment_host > 0.0:
+        super().__init__(
+            config.system,
+            config,
+            # Distinct noise stream per host: a large odd stride keeps
+            # the per-host seeds disjoint from the per-tenant workload
+            # seeds.
+            noise_seed=config.seed + 7919 * index + 13,
             # Fragmentation gradient: host 0 is the oldest (most
             # fragmented) machine, the last host is freshly racked.  The
             # gradient is what makes placement interesting — a fleet of
             # identically-fragmented hosts gives every policy the same
             # aligned capacity everywhere.
-            target = config.fragment_host * (config.hosts - index) / config.hosts
-            if target > 0.0:
-                fragmenter = Fragmenter(
-                    self.platform.memory, seed=config.seed + index
-                )
-                fragmenter.fragment(target)
-                self._fragmenters.append(fragmenter)
-
+            fragment_host=config.fragment_host * (config.hosts - index) / config.hosts,
+            # Hosts draw independent swap-latency streams and fragmenter
+            # pins from the same config seed.
+            salt=index,
+        )
+        self.tenants: dict[int, Tenant] = {}
         #: Pages pinned before any tenant existed (the fragmentation
         #: pins): capacity the scheduler can never promise to a VM.
         self._pinned_pages = (
             self.platform.memory.total_pages - self.platform.memory.free_pages
         )
-        self._last_misses = 0.0
-        self._host_snapshot = self.platform.host.ledger.snapshot()
         # Records accumulate here (also while stepping inside a worker
-        # process) and are drained by the engine every ``spool_epochs``.
+        # process) until the engine drains them.
         self._tenant_records: list[TenantEpochRecord] = []
         self._host_records: list[HostEpochRecord] = []
         #: The last view shipped to the controller — the shared baseline
@@ -352,31 +295,9 @@ class Host:
         self, ordinal: int, guest_mib: int, workload: Workload, epoch: int
     ) -> Tenant:
         """Place a new VM (the arrival half of the churn generator)."""
-        config = self.config
-        vm = VM.with_mib(
-            ordinal, guest_mib, self.spec.make_guest(), name=f"vm{ordinal}"
-        )
-        self.platform.attach_vm(vm)
-        if self.runtime is not None:
-            self.runtime.register_vm(vm)
-        fragmenter = None
-        if config.fragment_guest > 0.0:
-            fragmenter = Fragmenter(vm.gpa_space, seed=config.seed + ordinal)
-            fragmenter.fragment(config.fragment_guest)
-        # Same per-workload stream derivation as the single-host engine.
-        name_salt = zlib.crc32(workload.name.encode()) % 997
-        tenant = Tenant(
-            ordinal=ordinal,
-            vm=vm,
-            workload=workload,
-            ctx=WorkloadContext(
-                self.platform, vm, seed=config.seed + ordinal + name_salt
-            ),
-            balloon=BalloonDriver(self.platform, vm, alignment_aware=True),
-            arrived_epoch=epoch,
-            guest_snapshot=vm.guest.ledger.snapshot(),
-            fragmenter=fragmenter,
-        )
+        tenant = self._admit(ordinal, guest_mib, workload, name=f"vm{ordinal}")
+        tenant.balloon = BalloonDriver(self.platform, tenant.vm, alignment_aware=True)
+        tenant.arrived_epoch = epoch
         self.tenants[ordinal] = tenant
         return tenant
 
@@ -409,14 +330,12 @@ class Host:
         tenant.balloon.platform = self.platform
         self.tenants[tenant.ordinal] = tenant
 
-    def destroy_tenant(self, ordinal: int) -> int:
-        """Departure: free everything, drop the VM.  Returns host pages
-        freed — what the departure does *not* free (noise allocations made
-        while the tenant ran, neighbours' pages) is the fragmentation the
-        churn leaves behind."""
-        tenant, _ = self.detach_tenant(ordinal)
-        del tenant  # guest-side state (gpa space, tables) dies with it
-        return 0
+    def destroy_tenant(self, ordinal: int) -> None:
+        """Departure: free everything, drop the VM (its guest-side state
+        dies with it).  What the departure does *not* free — noise
+        allocations made while the tenant ran, neighbours' pages — is the
+        fragmentation the churn leaves behind."""
+        self.detach_tenant(ordinal)
 
     def resize_tenant(self, ordinal: int, grow: bool, fraction: float) -> int:
         """Balloon the tenant: shrink inflates (releasing host backing,
@@ -432,106 +351,43 @@ class Host:
     # ------------------------------------------------------------------
 
     def step_epoch(self, epoch: int) -> None:
-        """Run one fleet epoch on this host (cf. Simulation._epoch)."""
+        """Run one fleet epoch on this host, tenants in ordinal order."""
         obs.set_context(host=self.index, epoch=epoch)
         with obs.span("host.step"):
-            self._step_epoch(epoch)
+            self._step(
+                epoch, [self.tenants[ordinal] for ordinal in sorted(self.tenants)]
+            )
 
-    def _step_epoch(self, epoch: int) -> None:
-        tenants = [self.tenants[ordinal] for ordinal in sorted(self.tenants)]
-        with obs.span("host.workloads"):
-            for tenant in tenants:
-                if tenant.epochs_run == 0:
-                    tenant.workload.setup(tenant.ctx)
-                tenant.workload.run_epoch(tenant.ctx, tenant.epochs_run)
-
-        epoch_misses = 0.0
-        ledger = self.platform.host.ledger
-        host_delta = ledger.delta_since(self._host_snapshot)
-        self._host_snapshot = ledger.snapshot()
-        host_share = 1.0 / len(tenants) if tenants else 0.0
-        host_fmfi = fmfi(self.platform.memory)
-
-        with obs.span("host.classify"):
-            for tenant in tenants:
-                vm, workload = tenant.vm, tenant.workload
-                charge_dedup_cow(vm, workload)
-                if self.pressure is not None:
-                    # Dirty sets follow the tenant's own epoch count (its
-                    # access phases), heat decays in fleet-epoch time.
-                    self.pressure.log_dirty(
-                        vm, workload, epoch, workload_epoch=tenant.epochs_run
-                    )
-                segments = build_segments(
-                    self.platform, vm, workload, tenant.epochs_run
-                )
-                stats = self.tlb_model.evaluate(segments)
-                epoch_misses += stats.misses
-
-                guest_delta = vm.guest.ledger.delta_since(tenant.guest_snapshot)
-                tenant.guest_snapshot = vm.guest.ledger.snapshot()
-                performance = epoch_performance(
-                    tlb_sensitivity=workload.tlb_sensitivity,
-                    ops=workload.ops_per_epoch,
-                    stats=stats,
-                    sync_mm_cycles=guest_delta.sync_cycles
-                    + host_delta.sync_cycles * host_share,
-                    background_cycles=guest_delta.background_cycles
-                    + host_delta.background_cycles * host_share,
-                )
-                report = self.platform.index_of(vm.id).report()
-                guest_fmfi = fmfi(vm.gpa_space)
-                self._tenant_records.append(
-                    TenantEpochRecord(
-                        epoch=epoch,
-                        ordinal=tenant.ordinal,
-                        host=self.index,
-                        workload=workload.name,
-                        tenant_epoch=tenant.epochs_run,
-                        performance=performance,
-                        alignment=report,
-                        fmfi_guest=guest_fmfi,
-                    )
-                )
-                obs.emit(
-                    "tenant.epoch",
-                    ordinal=tenant.ordinal,
-                    workload=workload.name,
-                    tenant_epoch=tenant.epochs_run,
-                    tlb_misses=round(stats.misses, 3),
-                    well_aligned_rate=round(report.well_aligned_rate, 6),
-                    fmfi_guest=round(guest_fmfi, 6),
-                )
-                vm.guest.policy.on_epoch(
-                    EpochTelemetry(tenant.epochs_run, stats.misses, guest_fmfi)
-                )
-                tenant.epochs_run += 1
-
-        self.platform.host.policy.on_epoch(
-            EpochTelemetry(epoch, epoch_misses, host_fmfi)
+    def _record_tenant(
+        self, tenant, epoch, performance, alignment, fmfi_guest, fmfi_host
+    ) -> None:
+        self._tenant_records.append(
+            TenantEpochRecord(
+                epoch=epoch,
+                ordinal=tenant.ordinal,
+                host=self.index,
+                workload=tenant.workload.name,
+                tenant_epoch=tenant.epochs_run,
+                performance=performance,
+                alignment=alignment,
+                fmfi_guest=fmfi_guest,
+            )
         )
-        self._last_misses = epoch_misses
-        with obs.span("host.daemons"):
-            for tenant in tenants:
-                tenant.vm.guest.policy.scan(None)
-            self.platform.host.policy.scan(None)
-            if self.runtime is not None:
-                self.runtime.epoch(now=float(epoch), tlb_misses=self._last_misses)
-            if self.pressure is not None:
-                self.pressure.run(epoch)
 
+    def _record_host(
+        self, epoch: int, fmfi_host: float, aligned_free_pages: int, vms: int
+    ) -> None:
         memory = self.platform.memory
-        aligned_free = memory.free_pages_at_or_above(HUGE_ORDER)
         controller = self.pressure
         self._host_records.append(
             HostEpochRecord(
                 epoch=epoch,
                 host=self.index,
-                fmfi=host_fmfi,
+                fmfi=fmfi_host,
                 free_pages=memory.free_pages,
-                aligned_free_pages=aligned_free,
+                aligned_free_pages=aligned_free_pages,
                 total_pages=memory.total_pages,
-                vms=len(tenants),
+                vms=vms,
                 pressure=(
                     controller.pressure_signal() if controller else 0.0
                 ),
@@ -551,11 +407,4 @@ class Host:
                     controller.demoted_aligned_huge_pages if controller else 0
                 ),
             )
-        )
-        obs.emit(
-            "host.epoch",
-            fmfi=round(host_fmfi, 6),
-            free_pages=memory.free_pages,
-            aligned_free_pages=aligned_free,
-            vms=len(tenants),
         )

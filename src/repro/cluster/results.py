@@ -33,7 +33,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 #
 # Workers accumulate their hosts' epoch records locally and drain them in
-# bulk every K epochs (``spool_epochs``) — the controller never reads
+# bulk every ``SPOOL_EPOCHS`` epochs — the controller never reads
 # records mid-run, so per-epoch record traffic is pure waste.  A drain is
 # one compressed blob per host: records compress extremely well (repeated
 # dataclass field names, near-identical numeric layouts), and one big

@@ -51,19 +51,19 @@ def _run_with_balloon(
     inflate_regions: int,
 ) -> BalloonOutcome:
     sim = Simulation(make_workload(workload_name), system="Gemini", config=config)
-    vm = sim._vms[0]
-    balloon = BalloonDriver(sim.platform, vm, alignment_aware=alignment_aware)
-    results = [RunResult(system="Gemini", workload=workload_name)]
+    balloon = BalloonDriver(
+        sim.platform, sim.tenants[0].vm, alignment_aware=alignment_aware
+    )
     reclaimed = 0
     for epoch in range(config.epochs):
-        sim._epoch(epoch, results)
+        sim.step_epoch(epoch)
         if epoch % 3 == 1:
             reclaimed += balloon.inflate(inflate_regions * PAGES_PER_HUGE)
         elif epoch % 3 == 2:
             balloon.deflate()
     return BalloonOutcome(
         variant="alignment-aware" if alignment_aware else "naive",
-        result=results[0],
+        result=sim.results[0],
         aligned_demotions=balloon.demoted_aligned_huge_pages,
         reclaimed_pages=reclaimed,
     )
@@ -119,13 +119,12 @@ def _run_with_ksm(
         spare_aligned=spare_aligned,
         seed=config.seed,
     )
-    results = [RunResult(system="Gemini", workload=workload_name)]
     for epoch in range(config.epochs):
-        sim._epoch(epoch, results)
+        sim.step_epoch(epoch)
         daemon.scan()
     return KsmOutcome(
         variant=variant,
-        result=results[0],
+        result=sim.results[0],
         merged_pages=daemon.merged_pages,
         demoted_huge_pages=daemon.demoted_huge_pages,
     )

@@ -39,10 +39,6 @@ class SweepPoint:
     well_aligned_rate: float
 
 
-def _run_point(workload_name, system, config) -> float:
-    return Simulation(make_workload(workload_name), system=system, config=config)
-
-
 def run_fragmentation_sweep(
     workload_name: str = "Masstree",
     levels: list[float] | None = None,

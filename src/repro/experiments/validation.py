@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.mm import PROCESS
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, build_segments
 from repro.tlb.cache import SetAssociativeTLB
 from repro.workloads.suite import make_workload
 
@@ -101,11 +101,13 @@ def run_validation(
             workload = make_workload(workload_name)
             sim = Simulation(workload, system=system, config=config)
             sim.run_single()
-            vm = sim._vms[0]
+            vm = sim.tenants[0].vm
             # Evaluate both models against the *final* page-table state
             # (the run's last recorded epoch predates the final daemon
             # pass, which would skew the comparison).
-            segments = sim._build_segments(workload, vm, config.epochs - 1)
+            segments = build_segments(
+                sim.platform, vm, workload, config.epochs - 1
+            )
             stats = sim.tlb_model.evaluate(segments)
             analytic = stats.miss_rate
             traced = _trace_epoch(sim, vm, workload, trace_accesses, seed)

@@ -222,8 +222,8 @@ def telemetry_series_to_csv(rows: list[Mapping[str, object]]) -> str:
     """Render :func:`repro.obs.export.timeseries_rows` output as CSV.
 
     Rows may carry different summary columns (controller rows have no
-    FMFI, ``sim.epoch`` rows carry workload fields), so the header is
-    the union: the fixed count columns first, extras sorted after.
+    FMFI, pressured rows carry the watermark), so the header is the
+    union: the fixed count columns first, extras sorted after.
     """
     fixed = [
         "epoch", "host", "bookings", "expirations",

@@ -125,7 +125,7 @@ def write_chrome_trace(telemetry: Telemetry, path: str | pathlib.Path,
 #: Event kinds folded into the per-epoch time series, mapped to the
 #: summed columns they contribute.
 _SERIES_KINDS = frozenset({
-    "host.epoch", "sim.epoch", "booking.book", "booking.expire",
+    "host.epoch", "booking.book", "booking.expire",
     "promote.guest", "promote.host", "fleet.migrate",
     "pressure.watermark", "swap.out", "swap.in", "pressure.demote",
 })
@@ -135,8 +135,8 @@ def timeseries_rows(events: Iterable[Event]) -> list[dict[str, object]]:
     """Distil the event stream into per ``(epoch, host)`` rows.
 
     Each row counts the decision events landed on that host in that
-    epoch and carries the last-seen per-epoch summary fields (FMFI,
-    alignment) from ``host.epoch``/``sim.epoch`` records.
+    epoch and carries the last-seen per-epoch summary fields (FMFI, free
+    pages, resident VMs) from ``host.epoch`` records.
     """
     table: dict[tuple[int, int | None], dict[str, object]] = {}
     for event in events:
@@ -191,7 +191,7 @@ def timeseries_rows(events: Iterable[Event]) -> list[dict[str, object]]:
             fields = dict(event.fields)
             row["watermark"] = fields.get("level", "")
             row["free_pages"] = fields.get("free_pages", "")
-        else:  # host.epoch / sim.epoch summary records
+        else:  # host.epoch summary records
             for key_name, value in event.fields:
                 row[key_name] = value
     return [table[key] for key in sorted(table, key=_row_order)]

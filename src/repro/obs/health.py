@@ -14,11 +14,13 @@ The :class:`FlightRecorder` turns a watchdog breach or a worker
 exception into a postmortem bundle on disk: the last-N buffered events,
 the open-span stack, the run configuration and the volume counters —
 enough to reconstruct what the fleet was doing when things went wrong
-without re-running the simulation.
+without re-running the simulation.  Both engines arm the two for a run
+through :func:`armed`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import pathlib
@@ -36,6 +38,7 @@ __all__ = [
     "DEFAULT_RULES",
     "HealthMonitor",
     "FlightRecorder",
+    "armed",
     "summarize_health",
 ]
 
@@ -377,6 +380,44 @@ class FlightRecorder:
             _write_json(bundle / "config.json", payload)
         self.bundles.append(bundle)
         return bundle
+
+
+@contextlib.contextmanager
+def armed(config=None):
+    """Arm the watchdogs for one run, plus a flight recorder when a
+    trace directory is configured.
+
+    Yields the recorder (None without one).  An exception escaping the
+    run is dumped to it before it propagates, and a monitor installed
+    here is removed on exit.  Runs in the controller only: workers never
+    carry a monitor, so each host's stream is audited exactly once, in
+    its canonical per-host order, whatever the process layout.
+    """
+    from repro import obs
+
+    telemetry = obs.get()
+    if telemetry is None:
+        yield None
+        return
+    installed = telemetry.monitor is None
+    if installed:
+        telemetry.monitor = HealthMonitor()
+    recorder = None
+    out_dir = obs.trace_out_dir()
+    if out_dir is not None:
+        recorder = FlightRecorder(telemetry, out_dir)
+        telemetry.monitor.on_breach = (
+            lambda finding: recorder.breach(finding, config=config)
+        )
+    try:
+        yield recorder
+    except BaseException as error:
+        if recorder is not None:
+            recorder.dump("exception", config=config, error=error)
+        raise
+    finally:
+        if installed:
+            telemetry.monitor = None
 
 
 def _write_json(path: pathlib.Path, payload) -> None:

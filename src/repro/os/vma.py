@@ -9,7 +9,7 @@ Gemini's EMA additionally aligns the *physical* side to these boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.mem.layout import PAGES_PER_HUGE, huge_align_up, huge_region_index
@@ -33,10 +33,6 @@ class VMA:
     def end(self) -> int:
         """One past the last page of the VMA."""
         return self.start + self.npages
-
-    @property
-    def size_pages(self) -> int:
-        return self.npages
 
     def __contains__(self, vpn: int) -> bool:
         return self.start <= vpn < self.end

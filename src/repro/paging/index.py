@@ -13,7 +13,7 @@ incrementally:
   guest mappings), replacing the O(base mappings) walk the MHPS scan
   performed every epoch;
 * a **region-classification cache** for the engine's
-  ``_build_segments``: per guest-virtual region, the
+  ``build_segments``: per guest-virtual region, the
   :class:`~repro.metrics.alignment.RegionClass` list last computed, valid
   until a table event invalidates it.  Invalidation is tracked through a
   reverse dependency map from EPT regions to the guest regions whose
@@ -62,7 +62,7 @@ class VMTranslationIndex(TableWatcher):
         self._targets: dict[int, int] = {}
         #: guest-physical region -> number of guest base mappings into it
         self._live_base: dict[int, int] = {}
-        # Region-classification cache (engine._build_segments).
+        # Region-classification cache (engine.build_segments).
         self._classes: dict[int, list[RegionClass]] = {}
         self._class_fwd: dict[int, tuple[int, ...]] = {}
         self._class_deps: dict[int, set[int]] = {}

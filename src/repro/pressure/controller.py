@@ -140,7 +140,7 @@ class PressureController:
         vm: VM,
         workload: Workload,
         epoch: int,
-        workload_epoch: int | None = None,
+        workload_epoch: int,
     ) -> None:
         """Fold one workload-epoch's dirty set into the estimator.
 
@@ -148,8 +148,6 @@ class PressureController:
         epoch count differs from the fleet epoch); heat is stamped with
         *epoch*, the clock decay runs on.
         """
-        if workload_epoch is None:
-            workload_epoch = epoch
         self.wse.log_dirty_regions(
             vm.id,
             dirty_regions(self.platform, vm, workload, workload_epoch),

@@ -2,33 +2,40 @@
 chosen huge-page system and produces :class:`~repro.sim.results.RunResult`
 records.
 
-One :class:`Simulation` hosts one or more workloads (one VM each — the
-paper runs one workload per VM, and the collocation study of Section 6.5
-puts several VMs on the server).  Each epoch:
+:class:`HostStack` is one host — platform, TLB model, noise agent, Gemini
+runtime, pressure controller — and the epoch step every host runs.  Two
+engines extend it: :class:`Simulation`, one host with one VM per workload
+(the paper runs one workload per VM, and the collocation study of
+Section 6.5 puts several VMs on the server), and the fleet's
+:class:`repro.cluster.host.Host`.  Each epoch:
 
 1. the workloads allocate/touch/free memory (demand faults drive both
    translation layers, with OS noise interleaved);
-2. background daemons run — the per-layer policy scans, and for Gemini the
-   cross-layer runtime (MHPS, booking, promoters, bucket);
-3. the epoch's accesses are classified region by region against both page
+2. the epoch's accesses are classified region by region against both page
    tables (well-aligned / splintered / base) and evaluated by the TLB
    capacity model;
-4. costs accrued by both layers are folded with the translation behaviour
-   into the epoch's performance record.
+3. costs accrued by both layers are folded with the translation behaviour
+   into each tenant's performance record;
+4. background daemons run — the per-layer policy scans, for Gemini the
+   cross-layer runtime (MHPS, booking, promoters, bucket), and the
+   pressure ladder.
 """
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.runtime import GeminiRuntime
+from repro.hypervisor.balloon import BalloonDriver
 from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
 from repro.mem.fragmentation import Fragmenter, fmfi
-from repro.mem.layout import PAGES_PER_HUGE
-from repro.metrics.alignment import classify_region
-from repro.metrics.performance import epoch_performance
+from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
+from repro.metrics.alignment import AlignmentReport, classify_region
+from repro.metrics.performance import EpochPerformance, epoch_performance
 from repro.policies.base import EpochTelemetry
 from repro.policies.registry import system_spec
 from repro.pressure.controller import PressureController
@@ -39,8 +46,13 @@ from repro.tlb import costs
 from repro.tlb.model import TLBModel, TranslationSegment
 from repro.workloads.base import Workload, WorkloadContext
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.config import ClusterConfig
+
 __all__ = [
+    "HostStack",
     "Simulation",
+    "Tenant",
     "backfill_host",
     "build_segments",
     "charge_dedup_cow",
@@ -53,8 +65,7 @@ def build_segments(
 ) -> list[TranslationSegment]:
     """Classify one epoch's accesses into TLB-model segments.
 
-    Shared by :class:`Simulation` and the cluster's per-host stepping:
-    walks the workload's access phases, classifies each touched 2 MiB
+    Walks the workload's access phases, classifies each touched 2 MiB
     region against both page tables (cached in the VM's translation
     index), and spreads the epoch's accesses over the resulting
     translation kinds.
@@ -140,8 +151,229 @@ def charge_dedup_cow(vm: VM, workload: Workload) -> None:
     )
 
 
-class Simulation:
-    """One simulation: a platform, one VM per workload, one system."""
+@dataclass
+class Tenant:
+    """One VM, its workload and the per-VM state the epoch step keeps.
+
+    Everything here travels with the VM when a fleet migrates it.
+    """
+
+    ordinal: int
+    vm: VM
+    workload: Workload
+    ctx: WorkloadContext
+    #: Guest-ledger snapshot the next epoch's cost delta is taken against.
+    guest_snapshot: object
+    #: Fleet tenants own a balloon; single-host VMs have none.
+    balloon: BalloonDriver | None = None
+    arrived_epoch: int = 0
+    #: Epochs the workload has run: its own clock, which a fleet tenant
+    #: starts at arrival.
+    epochs_run: int = 0
+    #: Guest-physical fragmenter pins (kept referenced so the pinned
+    #: pages stay allocated for the VM's lifetime).
+    fragmenter: Fragmenter | None = field(default=None, repr=False)
+
+
+class HostStack:
+    """One host and the epoch step both engines run on it.
+
+    Builds the platform, TLB model, noise agent, Gemini runtime (for
+    Gemini) and pressure controller (when enabled) from the fields
+    :class:`SimulationConfig` and ``ClusterConfig`` share.  Subclasses
+    pass what differs — the noise seed, the *salt* that offsets the
+    swap-device and host-fragmenter seeds, the NUMA nodes and the host
+    fragmentation target — and keep their own per-tenant record through
+    :meth:`_record_tenant`.
+    """
+
+    def __init__(
+        self,
+        system: str,
+        config: SimulationConfig | ClusterConfig,
+        *,
+        noise_seed: int,
+        fragment_host: float,
+        salt: int = 0,
+        nodes: int = 1,
+    ) -> None:
+        self.system = system
+        self.config = config
+        self.spec = system_spec(system)
+        self.platform = Platform.with_mib(
+            config.host_mib, self.spec.make_host(), nodes=nodes
+        )
+        self.tlb_model = TLBModel(config.tlb)
+        self.noise = NoiseAgent(
+            self.platform,
+            rate=config.noise_rate,
+            free_fraction=config.noise_free_fraction,
+            seed=noise_seed,
+        )
+        self.noise.install()
+        self.runtime: GeminiRuntime | None = None
+        if self.spec.uses_gemini_runtime:
+            self.runtime = GeminiRuntime(self.platform, config.gemini)
+        self.pressure: PressureController | None = None
+        if config.pressure.enabled:
+            self.pressure = PressureController(
+                self.platform, config.pressure, salt=salt
+            )
+        #: Host-memory fragmenter pins (None on unfragmented hosts).
+        self._fragmenter: Fragmenter | None = None
+        if fragment_host > 0.0:
+            self._fragmenter = Fragmenter(self.platform.memory, seed=config.seed + salt)
+            self._fragmenter.fragment(fragment_host)
+        self._last_misses = 0.0
+        # Persistent ledger snapshot: each epoch's cost delta is taken
+        # against it and it is advanced at delta time, so work done by
+        # the between-epoch daemons is charged to the *next* epoch
+        # instead of disappearing between snapshots.
+        self._host_snapshot = self.platform.host.ledger.snapshot()
+
+    def _admit(
+        self, ordinal: int, guest_mib: int, workload: Workload, name: str
+    ) -> Tenant:
+        """Create one tenant VM on this host: attached, registered with
+        the runtime, its guest-physical memory fragmented as configured."""
+        config = self.config
+        vm = VM.with_mib(ordinal, guest_mib, self.spec.make_guest(), name=name)
+        self.platform.attach_vm(vm)
+        if self.runtime is not None:
+            self.runtime.register_vm(vm)
+        fragmenter = None
+        if config.fragment_guest > 0.0:
+            fragmenter = Fragmenter(vm.gpa_space, seed=config.seed + ordinal)
+            fragmenter.fragment(config.fragment_guest)
+        # Differentiate the per-workload RNG stream by name so that
+        # same-family workloads (e.g. Redis vs RocksDB) do not replay
+        # identical churn sequences.  CRC32 keys on byte order, so
+        # anagram names (unlike a plain byte sum) get distinct salts.
+        name_salt = zlib.crc32(workload.name.encode()) % 997
+        return Tenant(
+            ordinal=ordinal,
+            vm=vm,
+            workload=workload,
+            ctx=WorkloadContext(
+                self.platform, vm, seed=config.seed + ordinal + name_salt
+            ),
+            guest_snapshot=vm.guest.ledger.snapshot(),
+            fragmenter=fragmenter,
+        )
+
+    # ------------------------------------------------------------------
+    # One epoch
+    # ------------------------------------------------------------------
+
+    def _step(self, epoch: int, tenants: list[Tenant]) -> None:
+        """Run *tenants* through host epoch *epoch*."""
+        with obs.span("host.workloads"):
+            for tenant in tenants:
+                if tenant.epochs_run == 0:
+                    tenant.workload.setup(tenant.ctx)
+                tenant.workload.run_epoch(tenant.ctx, tenant.epochs_run)
+
+        epoch_misses = 0.0
+        ledger = self.platform.host.ledger
+        host_delta = ledger.delta_since(self._host_snapshot)
+        self._host_snapshot = ledger.snapshot()
+        host_share = 1.0 / len(tenants) if tenants else 0.0
+        host_fmfi = fmfi(self.platform.memory)
+
+        with obs.span("host.classify"):
+            for tenant in tenants:
+                vm, workload = tenant.vm, tenant.workload
+                tenant_epoch = tenant.epochs_run
+                charge_dedup_cow(vm, workload)
+                if self.pressure is not None:
+                    # Dirty sets follow the tenant's own epoch (its access
+                    # phases), heat decays in host-epoch time.
+                    self.pressure.log_dirty(vm, workload, epoch, tenant_epoch)
+                segments = build_segments(self.platform, vm, workload, tenant_epoch)
+                stats = self.tlb_model.evaluate(segments)
+                epoch_misses += stats.misses
+
+                guest_delta = vm.guest.ledger.delta_since(tenant.guest_snapshot)
+                tenant.guest_snapshot = vm.guest.ledger.snapshot()
+                performance = epoch_performance(
+                    tlb_sensitivity=workload.tlb_sensitivity,
+                    ops=workload.ops_per_epoch,
+                    stats=stats,
+                    sync_mm_cycles=guest_delta.sync_cycles
+                    + host_delta.sync_cycles * host_share,
+                    background_cycles=guest_delta.background_cycles
+                    + host_delta.background_cycles * host_share,
+                )
+                report = self.platform.index_of(vm.id).report()
+                guest_fmfi = fmfi(vm.gpa_space)
+                self._record_tenant(
+                    tenant, epoch, performance, report, guest_fmfi, host_fmfi
+                )
+                obs.emit(
+                    "tenant.epoch",
+                    ordinal=tenant.ordinal,
+                    workload=workload.name,
+                    tenant_epoch=tenant_epoch,
+                    tlb_misses=round(stats.misses, 3),
+                    well_aligned_rate=round(report.well_aligned_rate, 6),
+                    fmfi_guest=round(guest_fmfi, 6),
+                )
+                vm.guest.policy.on_epoch(
+                    EpochTelemetry(tenant_epoch, stats.misses, guest_fmfi)
+                )
+                tenant.epochs_run += 1
+
+        self.platform.host.policy.on_epoch(
+            EpochTelemetry(epoch, epoch_misses, host_fmfi)
+        )
+        self._last_misses = epoch_misses
+        # Daemons run *between* epochs: promotions and bookings made now
+        # take effect for the next epoch's accesses, so repair mechanisms
+        # carry a one-epoch lag while fault-time mechanisms (huge faults
+        # from booked/bucketed regions) act immediately.
+        with obs.span("host.daemons"):
+            self._run_daemons(epoch, tenants)
+
+        memory = self.platform.memory
+        aligned_free = memory.free_pages_at_or_above(HUGE_ORDER)
+        self._record_host(epoch, host_fmfi, aligned_free, len(tenants))
+        obs.emit(
+            "host.epoch",
+            fmfi=round(host_fmfi, 6),
+            free_pages=memory.free_pages,
+            aligned_free_pages=aligned_free,
+            vms=len(tenants),
+        )
+
+    def _run_daemons(self, epoch: int, tenants: list[Tenant]) -> None:
+        for tenant in tenants:
+            tenant.vm.guest.policy.scan(None)
+        self.platform.host.policy.scan(None)
+        if self.runtime is not None:
+            self.runtime.epoch(now=float(epoch), tlb_misses=self._last_misses)
+        if self.pressure is not None and epoch >= 0:
+            self.pressure.run(epoch)
+
+    def _record_tenant(
+        self,
+        tenant: Tenant,
+        epoch: int,
+        performance: EpochPerformance,
+        alignment: AlignmentReport,
+        fmfi_guest: float,
+        fmfi_host: float,
+    ) -> None:
+        """Keep one tenant's epoch record; each engine keeps its own kind."""
+        raise NotImplementedError
+
+    def _record_host(
+        self, epoch: int, fmfi_host: float, aligned_free_pages: int, vms: int
+    ) -> None:
+        """Keep the host's epoch record; the single-host engine keeps none."""
+
+
+class Simulation(HostStack):
+    """One simulation: a host, one VM per workload, one system."""
 
     def __init__(
         self,
@@ -153,74 +385,27 @@ class Simulation:
         """*primer* is a workload executed to completion (and unmapped)
         inside the first VM before the main workload starts — the reused-VM
         setting of Section 6.3."""
-        self.config = config or SimulationConfig()
-        self.system = system
-        self.spec = system_spec(system)
-        self.workloads = [workloads] if isinstance(workloads, Workload) else list(workloads)
-        if not self.workloads:
+        config = config or SimulationConfig()
+        workloads = [workloads] if isinstance(workloads, Workload) else list(workloads)
+        if not workloads:
             raise ValueError("at least one workload required")
+        super().__init__(
+            system,
+            config,
+            noise_seed=config.seed,
+            fragment_host=config.fragment_host,
+            nodes=config.nodes,
+        )
         self.primer = primer
-
-        self.platform = Platform.with_mib(
-            self.config.host_mib, self.spec.make_host(), nodes=self.config.nodes
-        )
-        self.tlb_model = TLBModel(self.config.tlb)
-        self.noise = NoiseAgent(
-            self.platform,
-            rate=self.config.noise_rate,
-            free_fraction=self.config.noise_free_fraction,
-            seed=self.config.seed,
-        )
-        self.noise.install()
-
-        self.runtime: GeminiRuntime | None = None
-        if self.spec.uses_gemini_runtime:
-            self.runtime = GeminiRuntime(self.platform, self.config.gemini)
-
-        self._vms: list[VM] = []
-        self._contexts: list[WorkloadContext] = []
-        for index, workload in enumerate(self.workloads):
-            vm = self.platform.create_vm_mib(
-                self.config.guest_mib, self.spec.make_guest(), name=workload.name
-            )
-            if self.runtime is not None:
-                self.runtime.register_vm(vm)
-            self._vms.append(vm)
-            # Differentiate the per-workload RNG stream by name so that
-            # same-family workloads (e.g. Redis vs RocksDB) do not replay
-            # identical churn sequences.  CRC32 keys on byte order, so
-            # anagram names (unlike a plain byte sum) get distinct salts.
-            name_salt = zlib.crc32(workload.name.encode()) % 997
-            self._contexts.append(
-                WorkloadContext(
-                    self.platform, vm, seed=self.config.seed + index + name_salt
-                )
-            )
-
-        self._fragmenters: list[Fragmenter] = []
-        if self.config.fragment_host > 0.0:
-            fragmenter = Fragmenter(self.platform.memory, seed=self.config.seed)
-            fragmenter.fragment(self.config.fragment_host)
-            self._fragmenters.append(fragmenter)
-        if self.config.fragment_guest > 0.0:
-            for vm in self._vms:
-                fragmenter = Fragmenter(vm.gpa_space, seed=self.config.seed + vm.id)
-                fragmenter.fragment(self.config.fragment_guest)
-                self._fragmenters.append(fragmenter)
-
-        self.pressure: PressureController | None = None
-        if self.config.pressure.enabled:
-            self.pressure = PressureController(
-                self.platform, self.config.pressure
-            )
-
-        self._last_misses = 0.0
-        # Persistent ledger snapshots: each epoch's cost delta is taken
-        # against these and they are advanced at delta time, so work done
-        # by the between-epoch daemons is charged to the *next* epoch
-        # instead of disappearing between snapshots.
-        self._host_snapshot = self.platform.host.ledger.snapshot()
-        self._guest_snapshots = [vm.guest.ledger.snapshot() for vm in self._vms]
+        self.tenants: list[Tenant] = [
+            self._admit(index, config.guest_mib, workload, name=workload.name)
+            for index, workload in enumerate(workloads)
+        ]
+        #: One result per tenant, filled in epoch by epoch.
+        self.results = [
+            RunResult(system=system, workload=workload.name)
+            for workload in workloads
+        ]
 
     # ------------------------------------------------------------------
     # Run loop
@@ -233,180 +418,59 @@ class Simulation:
             # The primer's costs belong to the previous tenant, not to the
             # measured workload's first epoch.
             self._host_snapshot = self.platform.host.ledger.snapshot()
-            self._guest_snapshots = [
-                vm.guest.ledger.snapshot() for vm in self._vms
-            ]
-        results = [
-            RunResult(system=self.system, workload=w.name) for w in self.workloads
-        ]
-        telemetry, recorder, installed_monitor = self._attach_health()
-        try:
+            for tenant in self.tenants:
+                tenant.guest_snapshot = tenant.vm.guest.ledger.snapshot()
+        with obs.health.armed(self.config):
             for epoch in range(self.config.epochs):
-                self._epoch(epoch, results)
-        except BaseException as error:
-            if recorder is not None:
-                recorder.dump("exception", config=self.config, error=error)
-            raise
-        finally:
-            if installed_monitor and telemetry is not None:
-                telemetry.monitor = None
+                self.step_epoch(epoch)
         if self.runtime is not None:
             stats = self.runtime.stats()
-            for result in results:
+            for result in self.results:
                 result.gemini_stats = stats
-        return results
-
-    def _attach_health(self):
-        """Arm the watchdog monitor (and flight recorder, when a trace
-        directory is configured) for this run; single-process, so the
-        monitor sees every event as it is emitted."""
-        telemetry = obs.get()
-        if telemetry is None:
-            return None, None, False
-        from repro.obs.health import FlightRecorder, HealthMonitor
-
-        installed = False
-        if telemetry.monitor is None:
-            telemetry.monitor = HealthMonitor()
-            installed = True
-        recorder = None
-        out_dir = obs.trace_out_dir()
-        if out_dir is not None:
-            recorder = FlightRecorder(telemetry, out_dir)
-            config = self.config
-            telemetry.monitor.on_breach = (
-                lambda finding: recorder.breach(finding, config=config)
-            )
-        return telemetry, recorder, installed
+        return self.results
 
     def run_single(self) -> RunResult:
         """Run and return the (single) workload's result."""
-        results = self.run()
-        if len(results) != 1:
+        if len(self.tenants) != 1:
             raise ValueError("run_single requires exactly one workload")
-        return results[0]
+        return self.run()[0]
+
+    def step_epoch(self, epoch: int) -> None:
+        """Run one epoch, appending one record to each result."""
+        obs.set_context(host=None, epoch=epoch)
+        with obs.span("sim.epoch"):
+            self._step(epoch, self.tenants)
 
     def _run_primer(self) -> None:
         """Execute the primer workload to completion in VM 0, then unmap
         everything it allocated (guest frames freed, EPT state retained)."""
-        vm = self._vms[0]
+        vm = self.tenants[0].vm
         ctx = WorkloadContext(self.platform, vm, seed=self.config.seed + 1000)
         primer = self.primer
         assert primer is not None
         primer.setup(ctx)
         for epoch in range(primer.default_epochs):
             primer.run_epoch(ctx, epoch)
-            self._run_daemons(epoch=-primer.default_epochs + epoch)
+            self._run_daemons(-primer.default_epochs + epoch, self.tenants)
         for name in list(ctx.vma_names()):
             ctx.munmap(name)
 
-    # ------------------------------------------------------------------
-    # One epoch
-    # ------------------------------------------------------------------
-
-    def _epoch(self, epoch: int, results: list[RunResult]) -> None:
-        obs.set_context(host=None, epoch=epoch)
-        with obs.span("sim.epoch"):
-            self._epoch_body(epoch, results)
-
-    def _epoch_body(self, epoch: int, results: list[RunResult]) -> None:
-        with obs.span("sim.workloads"):
-            for workload, ctx in zip(self.workloads, self._contexts):
-                if epoch == 0:
-                    workload.setup(ctx)
-                workload.run_epoch(ctx, epoch)
-
-        epoch_misses = 0.0
-        host_delta = self.platform.host.ledger.delta_since(self._host_snapshot)
-        self._host_snapshot = self.platform.host.ledger.snapshot()
-        host_share = 1.0 / len(self._vms)
-        host_fmfi = fmfi(self.platform.memory)
-
-        with obs.span("sim.classify"):
-            for index, (workload, vm) in enumerate(
-                zip(self.workloads, self._vms)
-            ):
-                self._charge_dedup_cow(workload, vm)
-                if self.pressure is not None:
-                    self.pressure.log_dirty(vm, workload, epoch)
-                segments = self._build_segments(workload, vm, epoch)
-                stats = self.tlb_model.evaluate(segments)
-                epoch_misses += stats.misses
-
-                guest_delta = vm.guest.ledger.delta_since(
-                    self._guest_snapshots[index]
-                )
-                self._guest_snapshots[index] = vm.guest.ledger.snapshot()
-                sync_mm = (
-                    guest_delta.sync_cycles + host_delta.sync_cycles * host_share
-                )
-                background = (
-                    guest_delta.background_cycles
-                    + host_delta.background_cycles * host_share
-                )
-                performance = epoch_performance(
-                    tlb_sensitivity=workload.tlb_sensitivity,
-                    ops=workload.ops_per_epoch,
-                    stats=stats,
-                    sync_mm_cycles=sync_mm,
-                    background_cycles=background,
-                )
-                report = self.platform.index_of(vm.id).report()
-                guest_fmfi = fmfi(vm.gpa_space)
-                results[index].epochs.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        performance=performance,
-                        alignment=report,
-                        fmfi_guest=guest_fmfi,
-                        fmfi_host=host_fmfi,
-                        guest_huge_pages=vm.guest.huge_mapping_count(),
-                        host_huge_pages=self.platform.ept(vm.id).huge_count,
-                        bloat_pages=vm.guest.bloat_pages,
-                    )
-                )
-                obs.emit(
-                    "sim.epoch",
-                    workload=workload.name,
-                    tlb_misses=round(stats.misses, 3),
-                    well_aligned_rate=round(report.well_aligned_rate, 6),
-                    fmfi_guest=round(guest_fmfi, 6),
-                    fmfi_host=round(host_fmfi, 6),
-                )
-                vm.guest.policy.on_epoch(
-                    EpochTelemetry(epoch, stats.misses, guest_fmfi)
-                )
-        self.platform.host.policy.on_epoch(
-            EpochTelemetry(epoch, epoch_misses, host_fmfi)
+    def _record_tenant(
+        self, tenant, epoch, performance, alignment, fmfi_guest, fmfi_host
+    ) -> None:
+        vm = tenant.vm
+        self.results[tenant.ordinal].epochs.append(
+            EpochRecord(
+                epoch=epoch,
+                performance=performance,
+                alignment=alignment,
+                fmfi_guest=fmfi_guest,
+                fmfi_host=fmfi_host,
+                guest_huge_pages=vm.guest.huge_mapping_count(),
+                host_huge_pages=self.platform.ept(vm.id).huge_count,
+                bloat_pages=vm.guest.bloat_pages,
+            )
         )
-        self._last_misses = epoch_misses
-        # Daemons run *between* epochs: promotions and bookings made now
-        # take effect for the next epoch's accesses, so repair mechanisms
-        # carry a one-epoch lag while fault-time mechanisms (huge faults
-        # from booked/bucketed regions) act immediately.
-        with obs.span("sim.daemons"):
-            self._run_daemons(epoch)
-
-    def _run_daemons(self, epoch: int) -> None:
-        for vm in self._vms:
-            vm.guest.policy.scan(None)
-        self.platform.host.policy.scan(None)
-        if self.runtime is not None:
-            self.runtime.epoch(now=float(epoch), tlb_misses=self._last_misses)
-        if self.pressure is not None and epoch >= 0:
-            self.pressure.run(epoch)
-
-    def _charge_dedup_cow(self, workload: Workload, vm: VM) -> None:
-        charge_dedup_cow(vm, workload)
-
-    # ------------------------------------------------------------------
-    # Access classification
-    # ------------------------------------------------------------------
-
-    def _build_segments(
-        self, workload: Workload, vm: VM, epoch: int
-    ) -> list[TranslationSegment]:
-        return build_segments(self.platform, vm, workload, epoch)
 
 
 def run_workload(

@@ -12,6 +12,7 @@ from repro.cluster import (
     fleet_key,
     run_cluster,
 )
+from repro.cluster import engine as cluster_engine
 from repro.cluster.config import ConsolidationConfig, MigrationConfig
 from repro.exec import ResultCache
 
@@ -72,15 +73,10 @@ def test_parallel_identical_across_spool_intervals(monkeypatch, spool):
     # drain boundary, and view deltas must reconstruct exact views.
     monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
     serial = ClusterSimulation(SMALL).run(workers=1)
-    config = replace(SMALL, spool_epochs=spool, adaptive_parallel=False)
+    monkeypatch.setattr(cluster_engine, "SPOOL_EPOCHS", spool)
+    config = replace(SMALL, adaptive_parallel=False)
     parallel = ClusterSimulation(config).run(workers=2)
     assert serial == parallel
-
-
-@pytest.mark.parametrize("spool", [0, -1])
-def test_non_positive_spool_epochs_rejected(spool):
-    with pytest.raises(ValueError, match="spool_epochs"):
-        replace(SMALL, spool_epochs=spool)
 
 
 def test_tiny_fleet_never_spawns_a_pool(monkeypatch):
@@ -162,9 +158,7 @@ def test_fleet_key_ignores_fast_path_flags():
     from repro.cluster.engine import EXECUTION_STRATEGY_FIELDS
 
     config = ClusterConfig(hosts=2, epochs=4)
-    assert fleet_key(config) == fleet_key(
-        replace(config, spool_epochs=3, adaptive_parallel=False)
-    )
+    assert fleet_key(config) == fleet_key(replace(config, adaptive_parallel=False))
     for field in EXECUTION_STRATEGY_FIELDS:
         assert hasattr(config, field)
     assert fleet_key(config) != fleet_key(replace(config, seed=1))

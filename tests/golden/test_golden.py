@@ -115,7 +115,7 @@ def run_digest(name: str) -> str:
 
 def _traced(run):
     """Call *run* with a fresh telemetry registry on a frozen clock;
-    returns its value and the emitted events."""
+    returns its value and the digest of the events it emitted."""
     obs.disable()
     obs.clear_context()
     obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))

@@ -142,7 +142,7 @@ def test_touch_range_matches_touch_loop():
 
     def build(batch):
         sim = Simulation(make_workload("Redis"), system="THP", config=config)
-        vm = sim._vms[0]
+        vm = sim.tenants[0].vm
         vma = vm.mmap(3 * PAGES_PER_HUGE + 17, "probe")
         if batch:
             sim.platform.touch_range(vm, vma.start, vma.npages)

@@ -118,7 +118,7 @@ def test_timeseries_csv_unions_columns():
     rows = timeseries_rows(
         [
             Event("host.epoch", 0, 0, 1, 0.0, (("fmfi", 0.1),)),
-            Event("sim.epoch", None, 0, 1, 0.0, (("workload", "Redis"),)),
+            Event("pressure.watermark", 1, 0, 1, 0.0, (("level", "low"),)),
         ]
     )
     text = telemetry_series_to_csv(rows)
@@ -128,7 +128,7 @@ def test_timeseries_csv_unions_columns():
         "epoch", "host", "bookings", "expirations",
         "guest_promotions", "host_promotions", "migrations",
     ]
-    assert "fmfi" in header and "workload" in header
+    assert "fmfi" in header and "watermark" in header
     assert len(lines) == 3
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterConfig, ClusterSimulation
+from repro.cluster import engine as cluster_engine
 from repro.cluster.config import MigrationConfig
 from repro.obs import Clock, Telemetry
 
@@ -88,7 +89,8 @@ def test_sampled_streams_match_across_layouts(monkeypatch):
     # Stride sampling is per (kind, host) stream and survives spool
     # resets, so even a sampled log is layout-independent.
     monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=False, spool_epochs=2)
+    monkeypatch.setattr(cluster_engine, "SPOOL_EPOCHS", 2)
+    config = replace(SMALL, adaptive_parallel=False)
     _, serial_events, _ = _run(config, workers=1, sample=0.5)
     _, parallel_events, forked = _run(config, workers=2, sample=0.5)
     if not forked:  # pragma: no cover

@@ -167,4 +167,4 @@ def test_pressure_config_is_not_an_execution_strategy():
     off = replace(PRESSURED, pressure=PressureConfig())
     assert fleet_key(off) != aware
     # Worker count / wire-protocol toggles still do not change the key.
-    assert fleet_key(replace(PRESSURED, spool_epochs=1)) == aware
+    assert fleet_key(replace(PRESSURED, adaptive_parallel=False)) == aware

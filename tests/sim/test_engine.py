@@ -47,6 +47,8 @@ def test_run_single_rejects_multi_workload():
     sim = Simulation([TinyWorkload(), make_workload("Shore")], system="THP", config=FAST)
     with pytest.raises(ValueError):
         sim.run_single()
+    # Rejected up front: no epoch ran.
+    assert all(not result.epochs for result in sim.results)
 
 
 def test_multi_vm_returns_result_per_workload():
@@ -104,7 +106,7 @@ def test_primer_runs_and_unmaps():
         primer=make_workload("SVM"),
     )
     result = sim.run_single()
-    vm = sim._vms[0]
+    vm = sim.tenants[0].vm
     # Primer memory was unmapped: only the main workload's VMA remains.
     assert len(vm.address_space) == 1
     # But the EPT retains the primer's (stale) mappings: the host was never
@@ -119,11 +121,11 @@ def test_hawkeye_dedup_charges_cow_on_specjbb():
     config = dataclasses.replace(FAST, guest_mib=256)
     sim = Simulation(make_workload("Specjbb"), system="HawkEye", config=config)
     sim.run_single()
-    assert sim._vms[0].guest.ledger.count("cow_fault") > 0
+    assert sim.tenants[0].vm.guest.ledger.count("cow_fault") > 0
     # Ingens does not deduplicate: no CoW charges.
     sim2 = Simulation(make_workload("Specjbb"), system="Ingens", config=config)
     sim2.run_single()
-    assert sim2._vms[0].guest.ledger.count("cow_fault") == 0
+    assert sim2.tenants[0].vm.guest.ledger.count("cow_fault") == 0
 
 
 def test_alignment_report_consistency():
@@ -147,6 +149,6 @@ def test_anagram_workload_names_get_distinct_rng_streams():
         workload = make_workload("Redis")
         workload.name = name
         sim = Simulation(workload, system="Host-B-VM-B", config=FAST)
-        return [sim._contexts[0].rng.random() for _ in range(8)]
+        return [sim.tenants[0].ctx.rng.random() for _ in range(8)]
 
     assert context_stream("listen") != context_stream("silent")

@@ -4,7 +4,6 @@ from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.mm import PROCESS
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulation
-from repro.sim.results import RunResult
 from repro.workloads.base import AccessPhase, Workload
 
 
@@ -28,9 +27,8 @@ def test_backfill_after_guest_migration():
     accesses would EPT-fault)."""
     config = SimulationConfig(epochs=2, host_mib=512, guest_mib=128, noise_rate=0.0)
     sim = Simulation(OneRegion(), system="Host-B-VM-B", config=config)
-    results = [RunResult(system="Host-B-VM-B", workload="one-region")]
-    sim._epoch(0, results)
-    vm = sim._vms[0]
+    sim.step_epoch(0)
+    vm = sim.tenants[0].vm
     vregion = vm.address_space.vma("data").start // PAGES_PER_HUGE
     # Migrate the region to a fresh gpa region behind the engine's back.
     assert vm.guest.promote_with_migration(PROCESS, vregion)
@@ -39,7 +37,7 @@ def test_backfill_after_guest_migration():
     assert not ept.is_huge(new_gpregion)
     populated_before = ept.region_population(new_gpregion)
     assert populated_before < PAGES_PER_HUGE
-    sim._epoch(1, results)
+    sim.step_epoch(1)
     # The engine backfilled the whole region's host backing.
     assert (
         ept.region_population(new_gpregion) == PAGES_PER_HUGE
@@ -50,12 +48,11 @@ def test_backfill_after_guest_migration():
 def test_backfill_counts_as_host_faults():
     config = SimulationConfig(epochs=2, host_mib=512, guest_mib=128, noise_rate=0.0)
     sim = Simulation(OneRegion(), system="Host-B-VM-B", config=config)
-    results = [RunResult(system="Host-B-VM-B", workload="one-region")]
-    sim._epoch(0, results)
-    vm = sim._vms[0]
+    sim.step_epoch(0)
+    vm = sim.tenants[0].vm
     vregion = vm.address_space.vma("data").start // PAGES_PER_HUGE
     vm.guest.promote_with_migration(PROCESS, vregion)
     before = sim.platform.host.ledger.count("base_fault")
-    sim._epoch(1, results)
+    sim.step_epoch(1)
     after = sim.platform.host.ledger.count("base_fault")
     assert after > before  # EPT violations were charged

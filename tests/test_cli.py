@@ -1,15 +1,8 @@
 """Unit tests for the command-line interface."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
 from repro.cli import build_parser, main
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parser_requires_command():
@@ -73,14 +66,10 @@ def test_cluster_command(capsys):
 
 
 def test_cluster_protocol_flags_map_to_config():
-    args = build_parser().parse_args([
-        "cluster", "--no-adaptive", "--spool-epochs", "3",
-    ])
+    args = build_parser().parse_args(["cluster", "--no-adaptive"])
     assert args.adaptive is False
-    assert args.spool_epochs == 3
     defaults = build_parser().parse_args(["cluster"])
     assert defaults.adaptive
-    assert defaults.spool_epochs is None
 
 
 def test_cluster_protocol_flags_do_not_change_results(capsys):
@@ -90,19 +79,8 @@ def test_cluster_protocol_flags_do_not_change_results(capsys):
     ]
     assert main(base) == 0
     reference = capsys.readouterr().out
-    assert main(base + ["--no-adaptive", "--spool-epochs", "1"]) == 0
+    assert main(base + ["--no-adaptive"]) == 0
     assert capsys.readouterr().out == reference
-
-
-def test_cluster_rejects_non_positive_spool_epochs():
-    command = [
-        sys.executable, "-m", "repro", "cluster",
-        "--hosts", "1", "--epochs", "1", "--spool-epochs", "0",
-    ]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(command, env=env, capture_output=True, text=True)
-    assert done.returncode != 0
-    assert "spool_epochs must be positive" in done.stderr
 
 
 def test_cluster_profile_prints_hotspots(capsys):
