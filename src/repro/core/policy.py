@@ -246,50 +246,33 @@ class GeminiGuestPolicy(CoalescingPolicy):
 
     def _majority_region(self, client: int, vregion: int) -> int | None:
         """The aligned physical region most of this virtual region's pages
-        already occupy at consistent offsets, if a clear majority exists."""
+        already occupy at consistent offsets, if a clear majority exists.
+        A tie goes to the candidate of the earliest-mapped page."""
         assert self.layer is not None
         table = self.layer.table(client)
         vbase = vregion * PAGES_PER_HUGE
-        deltas = table.region_deltas(vregion)
-        if deltas is not None:
-            # Delta-summary fast path: pbase = pfn - (vpn - vbase) =
-            # vbase + delta, so each distinct huge-aligned delta is one
-            # candidate region and its count is the page count.  A tied
-            # maximum falls back to the scan below — the reference
-            # tie-break is dict insertion order, which the summary cannot
-            # reproduce; a unique maximum is order-independent.
-            if not deltas:
-                return None
-            total = 0
-            counts: dict[int, int] = {}
-            for delta, count in deltas.items():
-                total += count
-                if delta % PAGES_PER_HUGE == 0 and delta >= -vbase:
-                    counts[(vbase + delta) // PAGES_PER_HUGE] = count
-            if not counts:
-                return None
-            best_count = max(counts.values())
-            tied = [r for r, c in counts.items() if c == best_count]
-            if len(tied) == 1:
-                if best_count < total - self.miss_fix_limit:
-                    return None
-                return tied[0]
-        mappings = table.region_mappings(vregion)
-        if not mappings:
-            return None
-        counts = {}
-        for vpn, pfn in mappings.items():
-            pbase = pfn - (vpn - vbase)
-            if pbase >= 0 and is_huge_aligned(pbase):
-                counts[pbase // PAGES_PER_HUGE] = (
-                    counts.get(pbase // PAGES_PER_HUGE, 0) + 1
-                )
+        # pbase = pfn - (vpn - vbase) = vbase + delta, so each huge-aligned
+        # delta names one candidate region and its count is the page count.
+        counts = {
+            delta: count
+            for delta, count in table.region_deltas(vregion).items()
+            if delta % PAGES_PER_HUGE == 0 and delta >= -vbase
+        }
         if not counts:
             return None
-        best = max(counts, key=counts.get)
-        if counts[best] < len(mappings) - self.miss_fix_limit:
+        best_count = max(counts.values())
+        if best_count < table.region_population(vregion) - self.miss_fix_limit:
             return None
-        return best
+        tied = [delta for delta, count in counts.items() if count == best_count]
+        best = tied[0]
+        if len(tied) > 1:
+            # The summary does not record which page came first: scan the
+            # region in mapping order for the first page at a tied delta.
+            best = next(
+                pfn - vpn for vpn, pfn in table.region_items(vregion)
+                if pfn - vpn in tied
+            )
+        return (vbase + best) // PAGES_PER_HUGE
 
     def _try_prealloc_promote(self, client: int, vregion: int) -> bool:
         """EMA huge preallocation: when the mapped pages already sit at
@@ -300,35 +283,25 @@ class GeminiGuestPolicy(CoalescingPolicy):
             return False
         table = self.layer.table(client)
         deltas = table.region_deltas(vregion)
-        if deltas is not None:
-            # O(1) rejection from the delta summary: the reference path
-            # below rejects (with no side effects) any region that is not
-            # all-at-one-huge-aligned-offset, i.e. anything but a single
-            # aligned non-negative delta of plausible population.  Only
-            # plausible regions pay for the O(region) completion attempt.
-            if len(deltas) != 1:
-                return False
-            ((delta, count),) = deltas.items()
-            if count < self.prealloc_threshold or count >= PAGES_PER_HUGE:
-                return False
-            if delta % PAGES_PER_HUGE != 0 or delta < -(vregion * PAGES_PER_HUGE):
-                return False
-        mappings = table.region_mappings(vregion)
-        population = len(mappings)
+        # One delta means every mapped page sits at one offset; an aligned,
+        # non-negative one puts them all in place inside region pbase.
+        if len(deltas) != 1:
+            return False
+        ((delta, population),) = deltas.items()
         if population < self.prealloc_threshold or population >= PAGES_PER_HUGE:
             return False
         vbase = vregion * PAGES_PER_HUGE
-        some_vpn, some_pfn = next(iter(mappings.items()))
-        pbase = some_pfn - (some_vpn - vbase)
+        pbase = vbase + delta
         if pbase < 0 or not is_huge_aligned(pbase):
             return False
-        if any(pfn != pbase + (vpn - vbase) for vpn, pfn in mappings.items()):
-            return False
-        missing = [vbase + i for i in range(PAGES_PER_HUGE) if vbase + i not in mappings]
-        if not all(self.layer.memory.is_free(pbase + (vpn - vbase)) for vpn in missing):
+        mapped = table.region_mappings(vregion)
+        missing = [
+            vpn for vpn in range(vbase, vbase + PAGES_PER_HUGE) if vpn not in mapped
+        ]
+        if not all(self.layer.memory.is_free(vpn + delta) for vpn in missing):
             return False
         for vpn in missing:
-            if not self.layer.map_prealloc(client, vpn, pbase + (vpn - vbase)):
+            if not self.layer.map_prealloc(client, vpn, vpn + delta):
                 return False
             self.preallocated_pages += 1
         return self.layer.try_promote_in_place(client, vregion)

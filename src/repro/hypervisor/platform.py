@@ -34,9 +34,11 @@ class Platform:
         self.host = MemoryLayer("host", self.memory, host_policy)
         self.vms: dict[int, VM] = {}
         self._next_vm_id = 0
-        #: Optional callback fired after every demand fault (both layers);
-        #: the simulation engine hooks OS allocation noise in here so that
+        #: The OS-noise agent (:class:`repro.sim.noise.NoiseAgent`), or
+        #: None: called once per touch that faulted at either layer, so
         #: kernel/slab-style allocations interleave with workload faults.
+        #: It must expose ``act_horizon``, which ``touch_range`` uses to
+        #: batch the faults it proves noise-free.
         self.fault_hook = None
         #: Per-VM incremental translation-state indices (O(changed-
         #: regions) epoch work), one per attached VM.
@@ -83,13 +85,10 @@ class Platform:
         # Gemini's huge bucket keys off this.
         ept = self.host.table(vm.id)
         vm.guest.alignment_probe = ept.is_huge
-        guest_table = vm.guest.table(PROCESS)
-        guest_table.enable_index()
-        ept.enable_index()
         vm.guest.enable_owner_index()
         # The index bootstraps from the tables' current state, so a
         # migrated-in VM's populated guest table is summarised too.
-        self.indices[vm.id] = VMTranslationIndex(guest_table, ept)
+        self.indices[vm.id] = VMTranslationIndex(vm.guest.table(PROCESS), ept)
 
     def detach_vm(self, vm: VM | int) -> int:
         """Remove a VM from this host (departure half of live migration).
@@ -98,13 +97,15 @@ class Platform:
         VM object keeps its guest-side state so it can be re-attached
         elsewhere.  Returns the number of host pages freed.
         """
-        vm = self.vms[vm] if isinstance(vm, int) else vm
-        if vm.id not in self.vms:
-            raise ValueError(f"VM id {vm.id} not attached to this platform")
+        vm_id = vm if isinstance(vm, int) else vm.id
+        if vm_id not in self.vms:
+            raise ValueError(f"VM id {vm_id} not attached to this platform")
+        vm = self.vms[vm_id]
         index = self.indices.pop(vm.id)
         self._quiescent.pop(vm.id, None)
-        vm.guest.table(PROCESS).remove_watcher(index)
-        self.ept(vm.id).remove_watcher(index)
+        # Free both slots: the guest table travels on with the VM, and
+        # the EPT's teardown below must run unobserved.
+        index.guest.index = index.ept.index = None
         freed = self.host.release_client(vm.id)
         del self.vms[vm.id]
         vm.guest.alignment_probe = None
@@ -150,17 +151,11 @@ class Platform:
         """Touch ``[start, start + npages)``, batching the fault path.
 
         Produces the identical end state (mappings, allocator layout,
-        ledger totals, RNG stream) as *npages* :meth:`touch` calls.  The
-        per-page path is kept for foreign fault hooks that cannot
-        pre-commit to a noise-free window.
+        ledger totals, RNG stream) as *npages* :meth:`touch` calls.
         """
         end = start + npages
         hook = self.fault_hook
-        horizon = getattr(hook, "act_horizon", None)
-        if hook is not None and horizon is None:
-            for vpn in range(start, end):
-                self.touch(vm, vpn)
-            return
+        horizon = None if hook is None else hook.act_horizon
         index = self.indices[vm.id]
         if npages > 0:
             # Quiescent-range cache: a range once proven fully translated

@@ -787,11 +787,14 @@ class MemoryLayer:
         is leaving this host), every frame goes straight back to the buddy
         allocator, and the table itself is dropped so the client id can be
         reused.  Returns the number of pages freed.  Shared (KSM) frames
-        only count when their last reference is released.
+        only count when their last reference is released.  The table's
+        translation index must be detached first (``Platform.detach_vm``
+        does): the teardown sends it no events.
         """
         table = self._tables.pop(client, None)
         if table is None:
             return 0
+        assert table.index is None, f"{table.name}: detach its index first"
         if self._compact_witness:
             self._compact_witness = {
                 key: witness
@@ -805,29 +808,21 @@ class MemoryLayer:
             self._bloat.pop((client, vregion), None)
             self.memory.free_range(pregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
             freed += PAGES_PER_HUGE
-        if not table._watchers:
-            # The table is being discarded and nothing observes its events,
-            # so the per-page unmaps are pure bookkeeping on dead state;
-            # only the rmap drops, the refcount releases, and the buddy
-            # frees are observable.  Buddy coalescing is order-independent,
-            # so the batch free lands on the same allocator state.
-            refs = self._frame_refs
-            direct: list[int] = []
-            for vpn, pfn in table.base_mappings():
-                self._drop_rmap(pfn, client, vpn)
-                if pfn in refs:
-                    self.release_frame(pfn)
-                else:
-                    freed += 1
-                    direct.append(pfn)
-            self.memory.free_frames(direct)
-        else:
-            for vpn, pfn in list(table.base_mappings()):
-                table.unmap_base(vpn)
-                self._drop_rmap(pfn, client, vpn)
-                if pfn not in self._frame_refs:
-                    freed += 1
+        # The table is being discarded and nothing observes its events, so
+        # per-page unmaps would be pure bookkeeping on dead state; only the
+        # rmap drops, the refcount releases, and the buddy frees are
+        # observable.  Buddy coalescing is order-independent, so the batch
+        # free lands on the same allocator state.
+        refs = self._frame_refs
+        direct: list[int] = []
+        for vpn, pfn in table.base_mappings():
+            self._drop_rmap(pfn, client, vpn)
+            if pfn in refs:
                 self.release_frame(pfn)
+            else:
+                freed += 1
+                direct.append(pfn)
+        self.memory.free_frames(direct)
         # Let the policy forget any per-client placement state (offset
         # descriptors, contiguity lists); the huge range covers every vpn.
         self.policy.on_unmap(client, 0, 1 << 52)

@@ -1,9 +1,10 @@
 """Incremental cross-layer translation-state index.
 
 One :class:`VMTranslationIndex` watches a VM's guest process page table
-(GVA -> GPA) and its EPT (GPA -> HPA) through the
-:class:`~repro.paging.pagetable.TableWatcher` event API and maintains,
-incrementally:
+(GVA -> GPA) and its EPT (GPA -> HPA).  It takes each table's single
+:attr:`~repro.paging.pagetable.PageTable.index` slot, so the tables
+deliver every mutation to it as one event (composite for promotion,
+demotion, remaps and whole-region runs), and maintains, incrementally:
 
 * the **alignment counters** of
   :class:`~repro.metrics.alignment.AlignmentReport` (guest/host huge
@@ -42,15 +43,18 @@ from __future__ import annotations
 
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.metrics.alignment import AlignmentReport, RegionClass
-from repro.paging.pagetable import PageTable, TableWatcher
+from repro.paging.pagetable import PageTable
 
 __all__ = ["VMTranslationIndex"]
 
 
-class VMTranslationIndex(TableWatcher):
+class VMTranslationIndex:
     """Event-maintained translation summaries for one VM's table pair."""
 
     def __init__(self, guest_table: PageTable, ept: PageTable) -> None:
+        for table in (guest_table, ept):
+            if table.index is not None:
+                raise ValueError(f"{table.name} already has a translation index")
         self.guest = guest_table
         self.ept = ept
         # Alignment counters (AlignmentReport fields).
@@ -77,8 +81,8 @@ class VMTranslationIndex(TableWatcher):
         #: as a pure skip, so the whole replay is a no-op.
         self.invalidation_gen = 0
         self._bootstrap()
-        guest_table.add_watcher(self)
-        ept.add_watcher(self)
+        guest_table.index = self
+        ept.index = self
 
     def _bootstrap(self) -> None:
         """Initialise counters from the tables' current state, so the
@@ -273,7 +277,7 @@ class VMTranslationIndex(TableWatcher):
             del self._live_base[gpregion]
 
     # ------------------------------------------------------------------
-    # TableWatcher events
+    # Table events (delivered by PageTable through its index slot)
     # ------------------------------------------------------------------
 
     def base_mapped(self, table: PageTable, vpn: int, pfn: int) -> None:

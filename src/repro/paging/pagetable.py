@@ -21,27 +21,30 @@ and demotion primitives page-coalescing policies are built on:
 * :meth:`PageTable.demote` splinters a huge mapping back into 512 base
   mappings (used on partial unmap and under memory pressure).
 
-Two optional facilities support the incremental translation-state index:
+Every table also keeps the state the incremental translation index needs:
 
-* **mutation events** — watchers registered with
-  :meth:`PageTable.add_watcher` observe every mapping change.  Promotion,
-  demotion and remapping are delivered as single composite events (not as
-  512 base events) so watchers stay O(1) per operation.
-* **per-region summaries** — with :meth:`PageTable.enable_index`, the
-  table maintains a per-region multiset of placement deltas
-  (``pfn - vpn``) alongside the mappings.  A region is in-place promotable
-  exactly when it holds 512 mappings of one huge-aligned delta, which
-  makes :meth:`PageTable.promotable` O(1) and lets policy scans reject
-  regions without walking their entries.
+* **per-region summaries** — each region's multiset of placement deltas
+  (``pfn - vpn``), maintained alongside the mappings.  A region is
+  in-place promotable exactly when it holds 512 mappings of one
+  huge-aligned delta, which makes :meth:`PageTable.promotable` O(1) and
+  lets policy scans reject regions without walking their entries.
+* **one index slot** — :attr:`PageTable.index` holds the
+  :class:`~repro.paging.index.VMTranslationIndex` watching the table, if
+  any, and every mapping change is delivered to it.  Promotion, demotion
+  and remapping arrive as single composite events (not as 512 base
+  events), so the index stays O(1) per operation.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.mem.layout import PAGES_PER_HUGE, huge_region_index
 
-__all__ = ["MappingError", "PageTable", "TableWatcher"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.paging.index import VMTranslationIndex
+
+__all__ = ["MappingError", "PageTable"]
 
 #: Shared empty bucket backing ``region_items`` of unpopulated regions.
 _EMPTY_REGION: dict[int, int] = {}
@@ -49,61 +52,6 @@ _EMPTY_REGION: dict[int, int] = {}
 
 class MappingError(Exception):
     """Raised on conflicting or missing mappings."""
-
-
-class TableWatcher:
-    """Observer of :class:`PageTable` mutations; every hook is a no-op.
-
-    Composite operations arrive as single events: a promotion fires
-    ``promoted`` (not 512 ``base_unmapped`` plus one ``huge_mapped``), a
-    demotion fires ``demoted``, and a migration remap fires
-    ``region_remapped`` with the old and new vpn -> pfn dicts.
-    """
-
-    def base_mapped(self, table: "PageTable", vpn: int, pfn: int) -> None:
-        pass
-
-    def base_unmapped(self, table: "PageTable", vpn: int, pfn: int) -> None:
-        pass
-
-    def huge_mapped(self, table: "PageTable", vregion: int, pregion: int) -> None:
-        pass
-
-    def huge_unmapped(self, table: "PageTable", vregion: int, pregion: int) -> None:
-        pass
-
-    def promoted(self, table: "PageTable", vregion: int, pregion: int) -> None:
-        pass
-
-    def demoted(self, table: "PageTable", vregion: int, pregion: int) -> None:
-        pass
-
-    def region_remapped(
-        self,
-        table: "PageTable",
-        vregion: int,
-        old: dict[int, int],
-        new: dict[int, int],
-    ) -> None:
-        pass
-
-    def base_mapped_run(
-        self, table: "PageTable", vpn: int, pfn: int, count: int
-    ) -> None:
-        """A contiguous run ``vpn + i -> pfn + i`` was installed.  The
-        default replays the per-page events, so watchers that only know
-        single-page hooks observe the identical sequence."""
-        for i in range(count):
-            self.base_mapped(table, vpn + i, pfn + i)
-
-    def region_base_cleared(
-        self, table: "PageTable", vregion: int, mappings: dict[int, int]
-    ) -> None:
-        """Every base mapping of *vregion* was removed at once (promotion
-        by migration, whole-region unmap).  The default replays the
-        per-page events in the order the pages were mapped."""
-        for vpn, pfn in mappings.items():
-            self.base_unmapped(table, vpn, pfn)
 
 
 class PageTable:
@@ -118,65 +66,11 @@ class PageTable:
         #: base mappings bucketed by virtual region, for O(1) region queries:
         #: region index -> {vpn -> pfn}
         self._region_base: dict[int, dict[int, int]] = {}
-        #: mutation observers (see :class:`TableWatcher`)
-        self._watchers: list[TableWatcher] = []
-        #: when True, maintain per-region delta summaries incrementally
-        self.use_index = False
         #: per-region placement-delta multiset: region -> {pfn - vpn: count}
         self._region_delta: dict[int, dict[int, int]] = {}
-
-    # ------------------------------------------------------------------
-    # Index / watcher management
-    # ------------------------------------------------------------------
-
-    def add_watcher(self, watcher: TableWatcher) -> None:
-        """Register a mutation observer."""
-        self._watchers.append(watcher)
-
-    def remove_watcher(self, watcher: TableWatcher) -> None:
-        """Unregister a mutation observer (idempotent).
-
-        Needed when a VM detaches from its platform (live migration): the
-        old translation index must stop observing tables that survive in
-        the VM, or it would keep mutating stale summaries.
-        """
-        try:
-            self._watchers.remove(watcher)
-        except ValueError:
-            pass
-
-    def enable_index(self) -> None:
-        """Turn on incremental per-region summaries (idempotent).
-
-        Bootstraps the delta summaries from the current mappings, so the
-        index may be enabled on a table that is already populated.
-        """
-        if self.use_index:
-            return
-        self.use_index = True
-        self._region_delta = {}
-        for region, bucket in self._region_base.items():
-            deltas: dict[int, int] = {}
-            for vpn, pfn in bucket.items():
-                d = pfn - vpn
-                deltas[d] = deltas.get(d, 0) + 1
-            self._region_delta[region] = deltas
-
-    def _delta_add(self, region: int, vpn: int, pfn: int) -> None:
-        deltas = self._region_delta.setdefault(region, {})
-        d = pfn - vpn
-        deltas[d] = deltas.get(d, 0) + 1
-
-    def _delta_drop(self, region: int, vpn: int, pfn: int) -> None:
-        deltas = self._region_delta[region]
-        d = pfn - vpn
-        count = deltas[d] - 1
-        if count:
-            deltas[d] = count
-        else:
-            del deltas[d]
-            if not deltas:
-                del self._region_delta[region]
+        #: the translation index observing this table's mutations; set by
+        #: the index itself, cleared when its VM detaches
+        self.index: VMTranslationIndex | None = None
 
     # ------------------------------------------------------------------
     # Mapping / unmapping
@@ -193,18 +87,18 @@ class PageTable:
             raise MappingError(f"{self.name}: vpn {vpn} already mapped")
         self._base[vpn] = pfn
         self._region_base.setdefault(region, {})[vpn] = pfn
-        if self.use_index:
-            self._delta_add(region, vpn, pfn)
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.base_mapped(self, vpn, pfn)
+        deltas = self._region_delta.setdefault(region, {})
+        d = pfn - vpn
+        deltas[d] = deltas.get(d, 0) + 1
+        if self.index is not None:
+            self.index.base_mapped(self, vpn, pfn)
 
     def map_base_run(self, vpn: int, pfn: int, count: int) -> None:
         """Install the contiguous run ``vpn + i -> pfn + i`` (one region).
 
         Batch equivalent of *count* :meth:`map_base` calls for a run that
         stays inside a single virtual region: same mappings, same delta
-        summary, one composite watcher event instead of *count*.
+        summary, one composite index event instead of *count*.
         """
         region = huge_region_index(vpn)
         if huge_region_index(vpn + count - 1) != region:
@@ -224,19 +118,17 @@ class PageTable:
         for i in range(count):
             base[vpn + i] = pfn + i
             bucket[vpn + i] = pfn + i
-        if self.use_index:
-            deltas = self._region_delta.setdefault(region, {})
-            d = pfn - vpn
-            deltas[d] = deltas.get(d, 0) + count
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.base_mapped_run(self, vpn, pfn, count)
+        deltas = self._region_delta.setdefault(region, {})
+        d = pfn - vpn
+        deltas[d] = deltas.get(d, 0) + count
+        if self.index is not None:
+            self.index.base_mapped_run(self, vpn, pfn, count)
 
     def unmap_region_base(self, vregion: int) -> dict[int, int]:
         """Remove every base mapping of *vregion*; return them.
 
         Batch equivalent of :meth:`unmap_base` over the region's pages in
-        mapping order, fired to watchers as one composite event.
+        mapping order, delivered to the index as one composite event.
         """
         bucket = self._region_base.pop(vregion, None)
         if bucket is None:
@@ -244,11 +136,9 @@ class PageTable:
         base = self._base
         for vpn in bucket:
             del base[vpn]
-        if self.use_index:
-            self._region_delta.pop(vregion, None)
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.region_base_cleared(self, vregion, bucket)
+        del self._region_delta[vregion]
+        if self.index is not None:
+            self.index.region_base_cleared(self, vregion, bucket)
         return bucket
 
     def map_huge(self, vregion: int, pregion: int) -> None:
@@ -261,9 +151,8 @@ class PageTable:
                 "unmap or promote them first"
             )
         self._huge[vregion] = pregion
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.huge_mapped(self, vregion, pregion)
+        if self.index is not None:
+            self.index.huge_mapped(self, vregion, pregion)
 
     def unmap_base(self, vpn: int) -> int:
         """Remove a 4 KiB mapping; return the PFN it pointed at."""
@@ -275,11 +164,17 @@ class PageTable:
         del bucket[vpn]
         if not bucket:
             del self._region_base[region]
-        if self.use_index:
-            self._delta_drop(region, vpn, pfn)
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.base_unmapped(self, vpn, pfn)
+        deltas = self._region_delta[region]
+        d = pfn - vpn
+        count = deltas[d] - 1
+        if count:
+            deltas[d] = count
+        else:
+            del deltas[d]
+            if not deltas:
+                del self._region_delta[region]
+        if self.index is not None:
+            self.index.base_unmapped(self, vpn, pfn)
         return pfn
 
     def unmap_huge(self, vregion: int) -> int:
@@ -287,9 +182,8 @@ class PageTable:
         if vregion not in self._huge:
             raise MappingError(f"{self.name}: region {vregion} not huge-mapped")
         pregion = self._huge.pop(vregion)
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.huge_unmapped(self, vregion, pregion)
+        if self.index is not None:
+            self.index.huge_unmapped(self, vregion, pregion)
         return pregion
 
     # ------------------------------------------------------------------
@@ -343,34 +237,20 @@ class PageTable:
         contiguous, in virtual order, with the first frame 2 MiB-aligned.
         Returns ``None`` otherwise.
         """
-        if self.use_index:
-            # 512 mappings of one delta == fully populated, contiguous and
-            # in virtual order; the delta is huge-aligned exactly when the
-            # first frame is (the region's first vpn is region-aligned).
-            deltas = self._region_delta.get(vregion)
-            if deltas is None or len(deltas) != 1:
-                return None
-            ((delta, count),) = deltas.items()
-            if count != PAGES_PER_HUGE or delta % PAGES_PER_HUGE != 0:
-                return None
-            return (vregion * PAGES_PER_HUGE + delta) // PAGES_PER_HUGE
-        bucket = self._region_base.get(vregion)
-        if bucket is None or len(bucket) != PAGES_PER_HUGE:
+        # 512 mappings of one delta == fully populated, contiguous and in
+        # virtual order; the delta is huge-aligned exactly when the first
+        # frame is (the region's first vpn is region-aligned).
+        deltas = self._region_delta.get(vregion)
+        if deltas is None or len(deltas) != 1:
             return None
-        first_vpn = vregion * PAGES_PER_HUGE
-        first_pfn = bucket.get(first_vpn)
-        if first_pfn is None or first_pfn % PAGES_PER_HUGE != 0:
+        ((delta, count),) = deltas.items()
+        if count != PAGES_PER_HUGE or delta % PAGES_PER_HUGE != 0:
             return None
-        for offset in range(1, PAGES_PER_HUGE):
-            if bucket.get(first_vpn + offset) != first_pfn + offset:
-                return None
-        return first_pfn // PAGES_PER_HUGE
+        return (vregion * PAGES_PER_HUGE + delta) // PAGES_PER_HUGE
 
-    def region_deltas(self, vregion: int) -> dict[int, int] | None:
-        """The region's ``{pfn - vpn: count}`` summary, or None when the
-        index is disabled.  Callers must treat the dict as read-only."""
-        if not self.use_index:
-            return None
+    def region_deltas(self, vregion: int) -> dict[int, int]:
+        """The region's ``{pfn - vpn: count}`` summary (empty when it has
+        no base mappings).  Callers must treat the dict as read-only."""
         return self._region_delta.get(vregion, _EMPTY_REGION)
 
     def promote_in_place(self, vregion: int) -> int:
@@ -387,11 +267,10 @@ class PageTable:
         for vpn in list(self._region_base[vregion]):
             del self._base[vpn]
         del self._region_base[vregion]
-        self._region_delta.pop(vregion, None)
+        del self._region_delta[vregion]
         self._huge[vregion] = pregion
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.promoted(self, vregion, pregion)
+        if self.index is not None:
+            self.index.promoted(self, vregion, pregion)
         return pregion
 
     def remap_region(self, vregion: int, new_pfns: dict[int, int]) -> dict[int, int]:
@@ -413,15 +292,13 @@ class PageTable:
         for vpn, pfn in new_pfns.items():
             self._base[vpn] = pfn
             bucket[vpn] = pfn
-        if self.use_index:
-            deltas: dict[int, int] = {}
-            for vpn, pfn in bucket.items():
-                d = pfn - vpn
-                deltas[d] = deltas.get(d, 0) + 1
-            self._region_delta[vregion] = deltas
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.region_remapped(self, vregion, old, new_pfns)
+        deltas: dict[int, int] = {}
+        for vpn, pfn in bucket.items():
+            d = pfn - vpn
+            deltas[d] = deltas.get(d, 0) + 1
+        self._region_delta[vregion] = deltas
+        if self.index is not None:
+            self.index.region_remapped(self, vregion, old, new_pfns)
         return old
 
     def demote(self, vregion: int) -> None:
@@ -435,11 +312,9 @@ class PageTable:
         for offset in range(PAGES_PER_HUGE):
             self._base[first_vpn + offset] = first_pfn + offset
             bucket[first_vpn + offset] = first_pfn + offset
-        if self.use_index:
-            self._region_delta[vregion] = {first_pfn - first_vpn: PAGES_PER_HUGE}
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher.demoted(self, vregion, pregion)
+        self._region_delta[vregion] = {first_pfn - first_vpn: PAGES_PER_HUGE}
+        if self.index is not None:
+            self.index.demoted(self, vregion, pregion)
 
     # ------------------------------------------------------------------
     # Iteration / statistics
@@ -450,7 +325,9 @@ class PageTable:
         yield from self._huge.items()
 
     def base_mappings(self) -> Iterator[tuple[int, int]]:
-        """Yield (vpn, pfn) for every base mapping."""
+        """Yield (vpn, pfn) for every base mapping, in mapping order (a
+        remap keeps each page's place).  KSM's scan budget walks this
+        order, so it is observable in results."""
         yield from self._base.items()
 
     def populated_regions(self) -> Iterator[int]:

@@ -74,7 +74,7 @@ class NoiseAgent:
 
     def install(self) -> None:
         # The agent itself is the hook (not the bound method) so the
-        # platform can discover ``act_horizon`` on the hook object.
+        # platform can call ``act_horizon`` on the hook object.
         self.platform.fault_hook = self
 
     def __call__(self, vm: "VM") -> None:

@@ -137,6 +137,48 @@ def test_guest_prealloc_blocked_by_fragmentation():
     assert not policy._try_prealloc_promote(PROCESS, vma.start // PAGES_PER_HUGE)
 
 
+def map_pages(vm, vregion, pages):
+    """Map (offset, physical region) pages of *vregion* in list order, each
+    at its own offset inside its physical region."""
+    table = vm.table()
+    for offset, pregion in pages:
+        table.map_base(
+            vregion * PAGES_PER_HUGE + offset, pregion * PAGES_PER_HUGE + offset
+        )
+    return table
+
+
+def test_majority_region_tie_goes_to_the_first_mapped_page():
+    policy = GeminiGuestPolicy()
+    _platform, vm = make_vm(policy)
+    # Region 3's pages sit at higher offsets, so vpn order would pick 7.
+    in_3 = [(10 + i, 3) for i in range(10)]
+    in_7 = [(i, 7) for i in range(10)]
+    map_pages(vm, 4, in_3 + in_7)
+    map_pages(vm, 5, in_7 + in_3)
+    assert policy._majority_region(PROCESS, 4) == 3
+    assert policy._majority_region(PROCESS, 5) == 7
+
+
+def test_majority_region_tie_follows_remapping():
+    policy = GeminiGuestPolicy()
+    _platform, vm = make_vm(policy)
+    interleaved = [(i, 3 if i % 2 == 0 else 7) for i in range(20)]
+    table = map_pages(vm, 4, interleaved)
+    assert policy._majority_region(PROCESS, 4) == 3
+    # Unmapped and mapped again, the first page moves behind region 7's.
+    vpn = 4 * PAGES_PER_HUGE
+    table.map_base(vpn, table.unmap_base(vpn))
+    assert policy._majority_region(PROCESS, 4) == 7
+
+
+def test_majority_region_majority_beats_mapping_order():
+    policy = GeminiGuestPolicy()
+    _platform, vm = make_vm(policy)
+    map_pages(vm, 4, [(i, 7) for i in range(9)] + [(9 + i, 3) for i in range(11)])
+    assert policy._majority_region(PROCESS, 4) == 3
+
+
 def test_guest_holds_back_when_host_cannot_align():
     policy = GeminiGuestPolicy()
     platform, vm = make_vm(policy)

@@ -1,5 +1,7 @@
 """Unit tests for the misaligned huge page promoters (MHPP)."""
 
+import pytest
+
 from repro.core.promoter import GuestPromoter, HostPromoter
 from repro.hypervisor.platform import Platform
 from repro.mem.layout import PAGES_PER_HUGE
@@ -117,6 +119,22 @@ def test_guest_promoter_evicts_foreign_pages():
     # The dominant owner of gpa region 0 now huge-maps it.
     owner = vm.guest.owner_of_region(0)
     assert owner is not None
+
+
+@pytest.mark.parametrize("lower", ["a", "b"])
+def test_dominant_owner_tie_goes_to_the_lowest_occupied_frame(lower):
+    _platform, vm = make_vm()
+    vmas = {name: vm.mmap(PAGES_PER_HUGE, name) for name in ("b", "a")}
+    gpregion = 2
+    # Ten frames each, the higher ones mapped first: the answer follows
+    # frame order, not mapping order, and (across both cases) not
+    # virtual order either.
+    for name in sorted(vmas, key=lambda n: n == lower):
+        first = gpregion * PAGES_PER_HUGE + (50 if name == lower else 100)
+        for i in range(10):
+            assert vm.guest.map_prealloc(PROCESS, vmas[name].start + i, first + i)
+    owner = GuestPromoter(vm)._dominant_owner(vm.guest, gpregion)
+    assert owner == vmas[lower].start // PAGES_PER_HUGE
 
 
 def test_host_promoter_promotes_type2_ept_region():

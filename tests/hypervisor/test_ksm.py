@@ -97,6 +97,31 @@ def test_spare_aligned_keeps_well_aligned_pairs():
     assert platform.ept(vm.id).is_huge(gpregion)  # the aligned pair survived
 
 
+def test_scan_budget_covers_the_first_mappings_in_mapping_order():
+    """The scan budget walks EPT base mappings in the order they were
+    mapped, not region by region: which pages a budgeted pass can merge
+    depends on it, so the order is part of the results."""
+    platform = Platform(16 * PAGES_PER_HUGE, HugePagePolicy())
+    vm = platform.create_vm(8 * PAGES_PER_HUGE, HugePagePolicy())
+    mapped = []
+    for offset in range(4):
+        for gpregion in (0, 1):
+            gpn = gpregion * PAGES_PER_HUGE + offset
+            platform.host.fault(vm.id, gpn, full_region=False)
+            mapped.append(gpn)
+    daemon = KsmDaemon(platform)
+    seen = []
+    content_of = daemon._content_of
+
+    def spy(vm_id, gpn):
+        seen.append(gpn)
+        return content_of(vm_id, gpn)
+
+    daemon._content_of = spy
+    daemon.scan(budget=5)
+    assert seen == mapped[:5]
+
+
 def _merged_gpns(platform, vms, seed):
     """Scan with a fresh daemon; returns the set of (vm, gpn) pairs that
     were remapped onto shared frames."""

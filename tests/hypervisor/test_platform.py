@@ -132,6 +132,31 @@ def test_vm_process_constant():
     assert PROCESS == 0
 
 
+@pytest.mark.parametrize("by_id", [False, True], ids=["vm", "vm-id"])
+def test_detach_vm_rejects_an_unattached_vm(by_id):
+    platform = make_platform()
+    vm = platform.create_vm(8 * PAGES_PER_HUGE, HugePagePolicy())
+    platform.detach_vm(vm)
+    with pytest.raises(ValueError, match="VM id 0 not attached"):
+        platform.detach_vm(vm.id if by_id else vm)
+
+
+def test_detach_vm_frees_the_index_slots_for_the_next_host():
+    platform = make_platform()
+    vm = platform.create_vm(8 * PAGES_PER_HUGE, HugePagePolicy())
+    vma = vm.mmap(PAGES_PER_HUGE, "heap")
+    platform.touch_vma(vm, vma)
+    guest, ept = vm.guest.table(PROCESS), platform.ept(vm)
+    assert guest.index is ept.index is platform.index_of(vm)
+    live = platform.index_of(vm).live_set()
+    platform.detach_vm(vm)
+    assert guest.index is None and ept.index is None
+    other = make_platform()
+    other.attach_vm(vm)
+    assert guest.index is other.index_of(vm)
+    assert other.index_of(vm).live_set() == live
+
+
 def test_touch_range_matches_touch_loop():
     """touch_range over a fresh VMA leaves the exact mapping and allocator
     state of per-page touch, huge faults included."""

@@ -5,8 +5,8 @@ skips records ``(start, npages) -> invalidation_gen`` in the platform's
 quiescent cache; a later replay with a matching fingerprint returns
 without consulting the index at all.  These tests pin the recording
 conditions and prove that every event that can make a replay observable
-again — guest unmap, EPT unmap, noise hooks, VM detach — either bumps
-the generation or bypasses/clears the cache, forcing a full replay.
+again — guest unmap, EPT unmap, VM detach — either bumps the generation
+or clears the cache, forcing a full replay.
 """
 
 from repro.hypervisor.platform import Platform
@@ -124,24 +124,6 @@ def test_host_demote_preserves_quiescence_and_correctness():
     assert dict(platform.host.ledger.sync) == host_sync
     for vpn in range(vma.start, vma.end):
         assert platform.host.translate(vm.id, vm.translate(vpn)) is not None
-
-
-def test_noise_hook_without_horizon_bypasses_cache():
-    platform = make_platform()
-    vm, vma = touched_vm(platform)
-    platform.touch_range(vm, vma.start, vma.npages)
-    assert platform._quiescent[vm.id]
-    calls = []
-    platform.fault_hook = lambda victim: calls.append(victim)
-    # A foreign fault hook with no act horizon forces the per-page path:
-    # the cache must be neither consulted nor extended.
-    index = platform.index_of(vm)
-    arm = index.region_translated
-    index.region_translated = lambda vregion: arm(vregion)
-    vma2 = vm.mmap(8, "noise-probe")
-    platform.touch_range(vm, vma2.start, vma2.npages)
-    assert calls  # the hook really ran on the faults
-    assert (vma2.start, vma2.npages) not in platform._quiescent[vm.id]
 
 
 def test_detach_vm_clears_cache():

@@ -6,14 +6,21 @@ on both tables:
 
 * the page table's per-region placement-delta multiset, and the O(1)
   ``promotable`` answer it backs;
+* the Gemini guest policy's majority region, whose tie-break follows
+  mapping order;
 * the :class:`VMTranslationIndex` alignment counters, live-region set,
   classification cache and fully-translated set;
 * the :class:`MemoryLayer` per-region owner counts.
+
+The recompute functions below are the reference scans: they read only a
+table's mappings (``region_items``), never its summaries.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.policy import GeminiGuestPolicy
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.mem.physmem import PhysicalMemory
 from repro.metrics.alignment import alignment_report, classify_region
@@ -28,23 +35,48 @@ HP_REGIONS = 6   # host-physical regions exercised
 
 
 def reference_promotable(table: PageTable, vregion: int) -> int | None:
-    """The reference scan, via the table's own non-index code path."""
-    saved = table.use_index
-    table.use_index = False
-    try:
-        return table.promotable(vregion)
-    finally:
-        table.use_index = saved
+    """All 512 pages mapped, contiguous, in virtual order, first frame
+    huge-aligned: the target physical region, else None."""
+    mappings = dict(table.region_items(vregion))
+    first_vpn = vregion * PAGES_PER_HUGE
+    first_pfn = mappings.get(first_vpn)
+    if first_pfn is None or first_pfn % PAGES_PER_HUGE != 0:
+        return None
+    for offset in range(1, PAGES_PER_HUGE):
+        if mappings.get(first_vpn + offset) != first_pfn + offset:
+            return None
+    return first_pfn // PAGES_PER_HUGE
 
 
 def reference_deltas(table: PageTable) -> dict[int, dict[int, int]]:
     expected: dict[int, dict[int, int]] = {}
-    for region, bucket in table._region_base.items():
+    for region in table.populated_regions():
         deltas: dict[int, int] = {}
-        for vpn, pfn in bucket.items():
+        for vpn, pfn in table.region_items(region):
             deltas[pfn - vpn] = deltas.get(pfn - vpn, 0) + 1
         expected[region] = deltas
     return expected
+
+
+def reference_majority_region(table: PageTable, vregion: int, miss_fix_limit: int):
+    """Count the region's pages per aligned physical region they sit in at
+    their own offset, in mapping order; the first-counted region wins a
+    tie, and a winner with more than *miss_fix_limit* strays is no winner."""
+    vbase = vregion * PAGES_PER_HUGE
+    counts: dict[int, int] = {}
+    total = 0
+    for vpn, pfn in table.region_items(vregion):
+        total += 1
+        pbase = pfn - (vpn - vbase)
+        if pbase >= 0 and pbase % PAGES_PER_HUGE == 0:
+            region = pbase // PAGES_PER_HUGE
+            counts[region] = counts.get(region, 0) + 1
+    if not counts:
+        return None
+    best = max(counts, key=counts.get)
+    if counts[best] < total - miss_fix_limit:
+        return None
+    return best
 
 
 def reference_live_set(guest: PageTable) -> set[int]:
@@ -63,11 +95,19 @@ def reference_translated(guest: PageTable, ept: PageTable, vregion: int) -> bool
     return True
 
 
-def check_index(guest: PageTable, ept: PageTable, index: VMTranslationIndex) -> None:
+def check_index(
+    policy: GeminiGuestPolicy,
+    guest: PageTable,
+    ept: PageTable,
+    index: VMTranslationIndex,
+) -> None:
     assert guest._region_delta == reference_deltas(guest)
     assert ept._region_delta == reference_deltas(ept)
     for vregion in range(V_REGIONS):
         assert guest.promotable(vregion) == reference_promotable(guest, vregion)
+        assert policy._majority_region(PROCESS, vregion) == (
+            reference_majority_region(guest, vregion, policy.miss_fix_limit)
+        )
     for gpregion in range(GP_REGIONS):
         assert ept.promotable(gpregion) == reference_promotable(ept, gpregion)
     assert index.report() == alignment_report(guest, ept)
@@ -85,7 +125,7 @@ EVENTS = st.lists(
         st.sampled_from(["guest", "ept"]),
         st.sampled_from(
             [
-                "map_base", "unmap_base", "map_huge", "unmap_huge",
+                "map_base", "map_skewed", "unmap_base", "map_huge", "unmap_huge",
                 "promote", "demote", "remap", "fill_region",
                 "query_translated", "query_classes",
             ]
@@ -106,6 +146,9 @@ def apply_event(guest, ept, index, layer, kind, region, offset, target):
     try:
         if kind == "map_base":
             table.map_base(vpn, target * PAGES_PER_HUGE + offset)
+        elif kind == "map_skewed":
+            # One frame off the page's own offset: an unaligned delta.
+            table.map_base(vpn, target * PAGES_PER_HUGE + offset + 1)
         elif kind == "unmap_base":
             table.unmap_base(vpn)
         elif kind == "map_huge":
@@ -154,14 +197,14 @@ def apply_event(guest, ept, index, layer, kind, region, offset, target):
 @given(events=EVENTS)
 def test_index_summaries_match_recompute(events):
     """After every event the incremental summaries equal a recompute."""
-    guest = PageTable("guest")
+    policy = GeminiGuestPolicy()
+    layer = MemoryLayer("guest", PhysicalMemory(GP_REGIONS * PAGES_PER_HUGE), policy)
+    guest = layer.table(PROCESS)
     ept = PageTable("ept")
-    guest.enable_index()
-    ept.enable_index()
     index = VMTranslationIndex(guest, ept)
     for layer, kind, region, offset, target in events:
         apply_event(guest, ept, index, layer, kind, region, offset, target)
-        check_index(guest, ept, index)
+        check_index(policy, guest, ept, index)
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,18 +214,30 @@ def test_index_bootstrap_matches_live_maintenance(events):
     mutations from the start."""
     guest = PageTable("guest")
     ept = PageTable("ept")
-    guest.enable_index()
-    ept.enable_index()
     live = VMTranslationIndex(guest, ept)
     for layer, kind, region, offset, target in events:
         if kind in ("query_translated", "query_classes"):
             continue
         apply_event(guest, ept, live, layer, kind, region, offset, target)
+    guest.index = ept.index = None
     late = VMTranslationIndex(guest, ept)
     assert late.report() == live.report()
     assert late.live_set() == live.live_set()
     assert late._targets == live._targets
     assert late._live_base == live._live_base
+
+
+def test_index_slot_holds_one_index():
+    """A table delivers its events to one index; a second is refused
+    without taking either slot."""
+    guest, ept, other = PageTable("guest"), PageTable("ept"), PageTable("other")
+    index = VMTranslationIndex(guest, ept)
+    with pytest.raises(ValueError, match="ept already has a translation index"):
+        VMTranslationIndex(other, ept)
+    assert other.index is None
+    with pytest.raises(ValueError, match="guest already has a translation index"):
+        VMTranslationIndex(guest, other)
+    assert (guest.index, ept.index, other.index) == (index, index, None)
 
 
 @settings(max_examples=40, deadline=None)
