@@ -16,9 +16,19 @@ from repro.os.mm import MemoryLayer
 from repro.os.vma import VMA
 from repro.hypervisor.vm import PROCESS, VM
 from repro.paging.index import VMTranslationIndex
+from repro.paging.pagetable import PageTable
 from repro.policies.base import HugePagePolicy
 
 __all__ = ["Platform"]
+
+
+def _notifications(spans: list[tuple[int, int, int, str]]) -> int:
+    """Fault notifications per-page touches of ``fault_range`` *spans*
+    fire: a ``base`` span once per page, a ``huge`` span once (only its
+    first page faults), a ``mapped`` span never."""
+    return sum(
+        count if kind == "base" else int(kind == "huge") for _, _, count, kind in spans
+    )
 
 
 class Platform:
@@ -37,8 +47,8 @@ class Platform:
         #: The OS-noise agent (:class:`repro.sim.noise.NoiseAgent`), or
         #: None: called once per touch that faulted at either layer, so
         #: kernel/slab-style allocations interleave with workload faults.
-        #: It must expose ``act_horizon``, which ``touch_range`` uses to
-        #: batch the faults it proves noise-free.
+        #: It must expose ``act_horizon`` and ``quiet``, which
+        #: ``touch_range`` uses to batch the faults it proves noise-free.
         self.fault_hook = None
         #: Per-VM incremental translation-state indices (O(changed-
         #: regions) epoch work), one per attached VM.
@@ -151,12 +161,19 @@ class Platform:
         """Touch ``[start, start + npages)``, batching the fault path.
 
         Produces the identical end state (mappings, allocator layout,
-        ledger totals, RNG stream) as *npages* :meth:`touch` calls.
+        ledger totals, RNG stream) as *npages* :meth:`touch` calls.  Work
+        is done per run, not per page: a window the noise agent proves
+        quiet (``act_horizon``) goes to ``fault_range`` as guest-mapped
+        runs of contiguous guest frames, which only the host layer can
+        fault, or as a guest-unmapped run, which faults both layers.  Only
+        the page whose notification acts takes the per-page :meth:`touch`,
+        so the noise allocation lands at its exact position.
         """
         end = start + npages
         hook = self.fault_hook
         horizon = None if hook is None else hook.act_horizon
         index = self.indices[vm.id]
+        guest = vm.guest.table(PROCESS)
         if npages > 0:
             # Quiescent-range cache: a range once proven fully translated
             # at both layers stays a no-op until some region anywhere
@@ -178,23 +195,47 @@ class Platform:
                     pos = min(end, (vregion + 1) * PAGES_PER_HUGE)
                     continue
             all_skipped = False
-            if vm.translate(pos) is not None:
-                # Guest-mapped: only the host layer can fault; no batching
-                # needed, the per-page path is already O(1) here.
-                self.touch(vm, pos)
-                pos += 1
-                continue
+            mapped = guest.translate(pos) is not None
             window = end - pos
+            if mapped:
+                # Only the host layer can fault here.  Stop at the guest
+                # region's end so the skip above sees every region start.
+                window = min(window, PAGES_PER_HUGE - pos % PAGES_PER_HUGE)
             n = window if horizon is None else horizon(window)
             if n <= 0:
                 # The very next fault triggers noise: deliver it per-page
                 # so the noise allocation lands at its exact position.
                 self.touch(vm, pos)
                 pos += 1
-                continue
-            pos += self._touch_unmapped_run(vm, pos, n)
+            elif mapped:
+                pos = self._touch_mapped_run(vm, guest, pos, pos + n)
+            else:
+                pos += self._touch_unmapped_run(vm, pos, n)
         if all_skipped and npages > 0:
             self._quiescent.setdefault(vm.id, {})[(start, npages)] = index.invalidation_gen
+
+    def _touch_mapped_run(self, vm: VM, guest: PageTable, start: int, limit: int) -> int:
+        """Fault the host layer under the guest-mapped pages from *start*
+        up to *limit* (within one guest region); returns the first page not
+        handled, the first guest-unmapped one or *limit*.  Caller
+        guarantees none of the resulting fault notifications acts.
+
+        Exact because host faults never change guest mappings (emergency
+        reclaim only unmaps EPT entries), and ``fault_range(gpn, n)``
+        equals *n* successive host ``fault`` calls.
+        """
+        fires = 0
+        pos = start
+        while pos < limit:
+            run = guest.mapped_run(pos, limit)
+            if run is None:
+                break
+            gpn, count = run
+            fires += _notifications(self.host.fault_range(vm.id, gpn, count))
+            pos += count
+        if fires and self.fault_hook is not None:
+            self.fault_hook.quiet(fires)
+        return pos
 
     def _touch_unmapped_run(self, vm: VM, start: int, npages: int) -> int:
         """Fault a window starting at a guest-unmapped page; returns the
@@ -207,29 +248,23 @@ class Platform:
         spans = vm.guest.fault_range(
             PROCESS, start, npages, full_region_of=vma.covers_full_region
         )
-        # Replay the per-page fault notifications: a page notifies iff it
+        # Count the per-page fault notifications: a page notifies iff it
         # triggered a fault at either layer (per-page delivery fires the
-        # hook once per faulting touch).  Only the counts matter — none of
-        # these notifications acts, so their relative order is free.
+        # hook once per faulting touch).  None of them acts, so only the
+        # count matters.
         fires = 0
         for _, gpn, count, guest_kind in spans:
             host_spans = self.host.fault_range(vm.id, gpn, count)
             if guest_kind == "base":
                 fires += count
                 continue
-            host_triggers = sum(
-                c if kind == "base" else (1 if kind == "huge" else 0)
-                for _, _, c, kind in host_spans
-            )
-            fires += host_triggers
+            fires += _notifications(host_spans)
             if guest_kind == "huge" and host_spans[0][3] == "mapped":
                 # The span's first page triggered the guest huge fault but
                 # no host fault; it still notifies exactly once.
                 fires += 1
-        hook = self.fault_hook
-        if hook is not None:
-            for _ in range(fires):
-                hook(vm)
+        if fires and self.fault_hook is not None:
+            self.fault_hook.quiet(fires)
         return npages
 
     # ------------------------------------------------------------------

@@ -36,6 +36,15 @@ __all__ = ["AllocationError", "BuddyAllocator"]
 #: under fragmentation they are rare while small intervals are plentiful.
 LARGE_REGION_PAGES = 1 << HUGE_ORDER
 
+#: Slack of the lazy-heap bound.  A lazy heap drops a stale entry only when
+#: it reaches the top, so unbounded it grows with every update: 5,000
+#: ``alloc(0)``/``free`` pairs on a fresh 4096-page allocator left 120,002
+#: region-heap entries for one live interval, and 5,000 entries in each of
+#: 11 free-list heaps holding no block.  Each heap is rebuilt from its live
+#: entries once it holds more than ``2 * live + HEAP_SLACK`` entries, which
+#: costs amortised O(1) per update.
+HEAP_SLACK = 64
+
 
 class AllocationError(Exception):
     """Raised when an allocation request cannot be satisfied."""
@@ -46,10 +55,12 @@ class _RegionIndex:
 
     Mirrors what :meth:`BuddyAllocator.free_regions` used to recompute from
     the free lists on every call (sort all free blocks, merge adjacent):
-    two parallel sorted arrays of interval starts and ends, updated as
-    blocks enter and leave the free lists.  Gemini's contiguity list walks
-    free regions on every anchor, which made the recompute the single
-    hottest path of a fragmented run.
+    two parallel sorted arrays of interval starts and ends.  The intervals
+    depend only on the free set, so each allocator operation applies its
+    net change once — an allocation carves out the claimed range, a free
+    adds its block — however many buddy splits or merges it performs.
+    Gemini's contiguity list walks free regions on every anchor, which made
+    the recompute the single hottest path of a fragmented run.
     """
 
     __slots__ = ("_starts", "_ends", "_heap", "_large")
@@ -58,7 +69,9 @@ class _RegionIndex:
         self._starts: list[int] = []
         self._ends: list[int] = []
         #: Lazy max-heap of (-size, start) candidates for max_region();
-        #: entries are validated against the arrays on inspection.
+        #: entries are validated against the arrays when they reach the
+        #: top, and the heap is rebuilt once it outgrows the live
+        #: intervals (see HEAP_SLACK).
         self._heap: list[tuple[int, int]] = []
         #: Sorted starts of intervals spanning >= LARGE_REGION_PAGES.
         self._large: list[int] = []
@@ -98,6 +111,8 @@ class _RegionIndex:
             self._ends.insert(i, end)
         self._large_add(start, end - start)
         heapq.heappush(self._heap, (start - end, start))
+        if len(self._heap) > 2 * len(self._starts) + HEAP_SLACK:
+            self._rebuild_heap()
 
     def remove(self, start: int, end: int) -> None:
         """Carve allocated interval [start, end) out of its free interval."""
@@ -123,6 +138,12 @@ class _RegionIndex:
             self._large_add(end, e - end)
             heapq.heappush(self._heap, (s - start, s))
             heapq.heappush(self._heap, (end - e, end))
+        if len(self._heap) > 2 * len(self._starts) + HEAP_SLACK:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [(s - e, s) for s, e in zip(self._starts, self._ends)]
+        heapq.heapify(self._heap)
 
     def regions(self) -> list[tuple[int, int]]:
         """Sorted (start, npages) for every maximal free interval."""
@@ -197,7 +218,9 @@ class _FreeList:
     """One buddy free list: a set of block-start frames with O(log n) min.
 
     The heap may contain stale entries (blocks that were since removed);
-    entries are validated against the set lazily on pop.
+    entries are validated against the set lazily on pop, and the heap is
+    rebuilt from the set once it outgrows it (see HEAP_SLACK; an add
+    cannot break the bound, a removal can).
     """
 
     def __init__(self) -> None:
@@ -210,13 +233,16 @@ class _FreeList:
 
     def remove(self, start: int) -> None:
         self.blocks.remove(start)
+        if len(self._heap) > 2 * len(self.blocks) + HEAP_SLACK:
+            self._heap = sorted(self.blocks)
 
     def pop_lowest(self) -> int:
         """Remove and return the lowest-addressed block start."""
-        while self._heap:
-            start = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            start = heapq.heappop(heap)
             if start in self.blocks:
-                self.blocks.remove(start)
+                self.remove(start)
                 return start
         raise AllocationError("free list empty")
 
@@ -256,17 +282,9 @@ class BuddyAllocator:
 
     def _seed_free_space(self, start: int, npages: int) -> None:
         for block, order in _decompose(start, npages):
-            self._insert(block, order)
-
-    def _insert(self, start: int, order: int) -> None:
-        self._free[order].add(start)
-        self.free_pages += 1 << order
-        self._regions.add(start, start + (1 << order))
-
-    def _remove(self, start: int, order: int) -> None:
-        self._free[order].remove(start)
-        self.free_pages -= 1 << order
-        self._regions.remove(start, start + (1 << order))
+            self._free[order].add(block)
+        self.free_pages += npages
+        self._regions.add(start, start + npages)
 
     # ------------------------------------------------------------------
     # Standard allocation interface
@@ -283,18 +301,14 @@ class BuddyAllocator:
         for source in range(order, MAX_ORDER + 1):
             if self._free[source]:
                 start = self._free[source].pop_lowest()
-                self.free_pages -= 1 << source
-                self._regions.remove(start, start + (1 << source))
-                return self._split_to(start, source, order)
+                # Split down to *order*, freeing each upper half.
+                while source > order:
+                    source -= 1
+                    self._free[source].add(start + (1 << source))
+                self.free_pages -= 1 << order
+                self._regions.remove(start, start + (1 << order))
+                return start
         raise AllocationError(f"no free block of order >= {order}")
-
-    def _split_to(self, start: int, source: int, order: int) -> int:
-        """Split block (start, source) down to *order*; free the remainders."""
-        while source > order:
-            source -= 1
-            buddy = start + (1 << source)
-            self._insert(buddy, source)
-        return start
 
     def alloc_frames(self, count: int) -> list[int]:
         """Batch equivalent of ``[self.alloc(0) for _ in range(count)]``.
@@ -318,13 +332,12 @@ class BuddyAllocator:
                 raise AllocationError("no free block of order >= 0")
             start = self._free[source].pop_lowest()
             size = 1 << source
-            self.free_pages -= size
-            self._regions.remove(start, start + size)
             take = size if size <= remaining else remaining
             frames.extend(range(start, start + take))
-            if take < size:
-                for block, border in _decompose(start + take, size - take):
-                    self._insert(block, border)
+            for block, border in _decompose(start + take, size - take):
+                self._free[border].add(block)
+            self.free_pages -= take
+            self._regions.remove(start, start + take)
             remaining -= take
         return frames
 
@@ -360,14 +373,17 @@ class BuddyAllocator:
             raise ValueError(f"block ({start}, order {order}) outside memory")
         if self._regions.pages_in_range(start, 1 << order) > 0:
             raise ValueError(f"double free of block ({start}, order {order})")
+        self.free_pages += 1 << order
+        self._regions.add(start, start + (1 << order))
+        # Merge with free buddies (a block in a free list lies in memory).
         while order < MAX_ORDER:
             buddy = start ^ (1 << order)
-            if buddy not in self._free[order] or not self._within(buddy, 1 << order):
+            if buddy not in self._free[order]:
                 break
-            self._remove(buddy, order)
+            self._free[order].remove(buddy)
             start = min(start, buddy)
             order += 1
-        self._insert(start, order)
+        self._free[order].add(start)
 
     # ------------------------------------------------------------------
     # Targeted allocation (booking / EMA support)
@@ -386,18 +402,20 @@ class BuddyAllocator:
         if container is None:
             raise AllocationError(f"block ({start}, order {order}) not fully free")
         cstart, corder = container
-        self._remove(cstart, corder)
+        self._free[corder].remove(cstart)
         # Split the container, keeping the half containing the target and
         # freeing the other half, until we reach the requested block.
         while corder > order:
             corder -= 1
             low, high = cstart, cstart + (1 << corder)
             if start < high:
-                self._insert(high, corder)
+                self._free[corder].add(high)
                 cstart = low
             else:
-                self._insert(low, corder)
+                self._free[corder].add(low)
                 cstart = high
+        self.free_pages -= 1 << order
+        self._regions.remove(start, start + (1 << order))
 
     def alloc_range(self, start: int, npages: int) -> None:
         """Claim the exact page range ``[start, start + npages)``.

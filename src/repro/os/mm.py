@@ -416,10 +416,10 @@ class MemoryLayer:
         huge_faults = 0
         pos = start
         while pos < end:
-            pfn = table.translate(pos)
-            if pfn is not None:
-                emit(pos, pfn, 1, "mapped")
-                pos += 1
+            run = table.mapped_run(pos, end)
+            if run is not None:
+                emit(pos, run[0], run[1], "mapped")
+                pos += run[1]
                 continue
             vregion = pos // PAGES_PER_HUGE
             region_end = min(end, (vregion + 1) * PAGES_PER_HUGE)
@@ -444,14 +444,12 @@ class MemoryLayer:
                     pos = region_end
                     continue
             while pos < region_end:
-                pfn = table.translate(pos)
-                if pfn is not None:
-                    emit(pos, pfn, 1, "mapped")
-                    pos += 1
+                run = table.mapped_run(pos, region_end)
+                if run is not None:
+                    emit(pos, run[0], run[1], "mapped")
+                    pos += run[1]
                     continue
-                run_end = pos + 1
-                while run_end < region_end and table.translate(run_end) is None:
-                    run_end += 1
+                run_end = table.unmapped_run_end(pos, region_end)
                 while pos < run_end:
                     batch = self.policy.choose_base_frames(
                         client, pos, run_end - pos

@@ -199,6 +199,47 @@ class PageTable:
             return pregion * PAGES_PER_HUGE + offset
         return self._base.get(vpn)
 
+    def mapped_run(self, vpn: int, limit: int) -> tuple[int, int] | None:
+        """The mapped run at *vpn* as ``(pfn, count)``: ``vpn + i`` maps to
+        ``pfn + i`` for every ``i < count``.  The run stops at *limit* (an
+        exclusive vpn), at the end of *vpn*'s region, or where the frames
+        stop being contiguous.  None when *vpn* is unmapped.
+
+        O(1) for a huge region; base pages walk the region's bucket.
+        """
+        region = huge_region_index(vpn)
+        stop = min(limit, (region + 1) * PAGES_PER_HUGE)
+        pregion = self._huge.get(region)
+        if pregion is not None:
+            return pregion * PAGES_PER_HUGE + vpn - region * PAGES_PER_HUGE, stop - vpn
+        bucket = self._region_base.get(region)
+        pfn = None if bucket is None else bucket.get(vpn)
+        if pfn is None:
+            return None
+        delta = pfn - vpn
+        end = vpn + 1
+        while end < stop and bucket.get(end) == end + delta:
+            end += 1
+        return pfn, end - vpn
+
+    def unmapped_run_end(self, vpn: int, limit: int) -> int:
+        """The first base-mapped vpn in ``[vpn, limit)``, or *limit*: where
+        the unmapped run at *vpn* ends.
+
+        *vpn*'s region must not be huge-mapped and *limit* must not pass
+        its end.  Scans the region's bucket or the window, whichever is
+        smaller, so a region with no base mappings is one run in O(1).
+        """
+        bucket = self._region_base.get(huge_region_index(vpn))
+        if not bucket:
+            return limit
+        if len(bucket) < limit - vpn:
+            return min((v for v in bucket if vpn <= v < limit), default=limit)
+        for v in range(vpn, limit):
+            if v in bucket:
+                return v
+        return limit
+
     def is_mapped(self, vpn: int) -> bool:
         return self.translate(vpn) is not None
 

@@ -17,7 +17,6 @@ pattern of mixed allocation streams.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.mem.buddy import AllocationError
@@ -30,7 +29,13 @@ __all__ = ["NoiseAgent"]
 
 
 class NoiseAgent:
-    """Small kernel-style allocations interleaved with workload faults."""
+    """Small kernel-style allocations interleaved with workload faults.
+
+    Every fault notification consumes one gate bit, and a set bit runs the
+    noise body.  Batched fault delivery asks :meth:`act_horizon` how many
+    upcoming notifications are quiet and delivers them with :meth:`quiet`
+    in O(1); the acting one still arrives through :meth:`on_fault`.
+    """
 
     def __init__(
         self,
@@ -65,11 +70,14 @@ class NoiseAgent:
         #: physical layouts mis-aligned "largely by chance" (Section 2.3).
         self._transient: dict[tuple, list[int]] = {}
         self.transient_hold = 24
-        #: Pre-drawn per-fault gate bits (True = this fault triggers noise),
-        #: in fault order.  :meth:`act_horizon` fills the queue so batched
-        #: fault delivery can prove a noise-free window without perturbing
-        #: the RNG stream; :meth:`on_fault` drains it before drawing fresh.
-        self._pending: deque[bool] = deque()
+        #: Pre-drawn per-fault gate bits, in fault order: ``_quiet`` quiet
+        #: gates, then one acting gate if ``_armed``.  :meth:`act_horizon`
+        #: draws them so batched fault delivery can prove a noise-free
+        #: window without perturbing the RNG stream, and stops at the first
+        #: acting gate, so nothing ever queues behind it; :meth:`on_fault`
+        #: and :meth:`quiet` consume them before anything is drawn fresh.
+        self._quiet = 0
+        self._armed = False
         self.allocations = 0
 
     def install(self) -> None:
@@ -84,33 +92,36 @@ class NoiseAgent:
         """How many upcoming fault notifications, up to *limit*, are
         guaranteed not to trigger noise.
 
-        Gate bits are drawn in fault order and queued; drawing stops at the
-        first acting fault so the noise body's own RNG consumption stays in
-        its per-fault position.  The result is that delivering the next
-        ``act_horizon(n)`` faults as a batch consumes the exact random
+        Gate bits are drawn in fault order and stop at the first acting
+        fault, so the noise body's own RNG consumption stays in its
+        per-fault position.  Delivering the next ``act_horizon(n)`` faults
+        as a batch (:meth:`quiet`) therefore consumes the exact random
         stream per-fault delivery would.
         """
-        horizon = 0
-        for acts in self._pending:
-            if acts:
-                return horizon
-            horizon += 1
-            if horizon >= limit:
-                return horizon
-        while horizon < limit:
-            acts = self._rng.random() < self.rate
-            self._pending.append(acts)
-            if acts:
-                return horizon
-            horizon += 1
-        return horizon
+        while self._quiet < limit and not self._armed:
+            if self._rng.random() < self.rate:
+                self._armed = True
+            else:
+                self._quiet += 1
+        return min(self._quiet, limit)
+
+    def quiet(self, n: int) -> None:
+        """Deliver *n* fault notifications that :meth:`act_horizon` has
+        proven quiet, in O(1).  Raises :class:`ValueError`, changing
+        nothing, when *n* exceeds the proven count."""
+        if not 0 <= n <= self._quiet:
+            raise ValueError(
+                f"{n} quiet notifications requested, {self._quiet} proven"
+            )
+        self._quiet -= n
 
     def on_fault(self, vm: "VM") -> None:
-        if self._pending:
-            acts = self._pending.popleft()
-        else:
-            acts = self._rng.random() < self.rate
-        if not acts:
+        if self._quiet:
+            self._quiet -= 1
+            return
+        if self._armed:
+            self._armed = False
+        elif self._rng.random() >= self.rate:
             return
         self.allocations += 1
         guest_key = ("guest", vm.id)

@@ -6,8 +6,10 @@ from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.policies.base import HugePagePolicy
+from repro.policies.registry import system_spec
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulation
+from repro.sim.noise import NoiseAgent
 from repro.workloads.suite import make_workload
 
 
@@ -182,3 +184,57 @@ def test_touch_range_matches_touch_loop():
         return guest, host_free, guest_free
 
     assert build(True) == build(False)
+
+
+@pytest.mark.parametrize("system", ["THP", "Gemini"])
+@pytest.mark.parametrize("reback", [False, True], ids=["empty-ept", "half-backed"])
+def test_touch_range_over_guest_mapped_pages_matches_touch_loop(system, reback):
+    """A VM that moved to a fresh host keeps its guest mappings but has an
+    empty EPT.  touch_range hands its guest-mapped runs to the host fault
+    path in bulk and must leave what a per-page touch loop leaves, noise
+    allocations and the noise RNG stream included.  Gates the batch
+    pre-drew stay queued for later notifications, so the stream is
+    compared after further notifications drain them."""
+    spec = system_spec(system)
+
+    def build(batch):
+        source = make_platform(96, spec.make_host())
+        vm = source.create_vm(48 * PAGES_PER_HUGE, spec.make_guest())
+        vma = vm.mmap(6 * PAGES_PER_HUGE + 300, "heap")
+        NoiseAgent(source, rate=0.3, seed=5).install()
+        # Leave a guest-unmapped hole so both run kinds are exercised.
+        source.touch_range(vm, vma.start, 2 * PAGES_PER_HUGE + 100)
+        rest = vma.start + 3 * PAGES_PER_HUGE
+        source.touch_range(vm, rest, vma.end - rest)
+        source.detach_vm(vm)
+        platform = make_platform(96, spec.make_host())
+        platform.attach_vm(vm)
+        if reback:
+            for vpn in range(vma.start, vma.end):
+                if (vpn // 37) % 2 == 0:
+                    platform.touch(vm, vpn)
+        noise = NoiseAgent(platform, rate=0.3, seed=7)
+        noise.install()
+        if batch:
+            platform.touch_range(vm, vma.start, vma.npages)
+        else:
+            for vpn in range(vma.start, vma.end):
+                platform.touch(vm, vpn)
+        ept, ledger = platform.ept(vm), platform.host.ledger
+        state = (
+            list(ept.base_mappings()),
+            list(ept.huge_mappings()),
+            list(vm.table().base_mappings()),
+            platform.memory.free_regions(),
+            vm.gpa_space.free_regions(),
+            [(ledger.count(e), ledger.cycles(e)) for e in ("base_fault", "huge_fault")],
+            noise.allocations,
+            noise.held_pages,
+        )
+        for _ in range(300):
+            noise.on_fault(vm)
+        return state, (noise.allocations, noise.held_pages, noise._rng.random())
+
+    batched, stepped = build(True), build(False)
+    assert batched[0][6] > 0, "noise must act during the touch"
+    assert batched == stepped

@@ -206,61 +206,133 @@ def test_alloc_order0_is_lowest_address_within_best_order(pins, allocs):
         assert buddy.alloc(0) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.booleans(),
-            st.integers(min_value=0, max_value=TOTAL - 1),
-            st.integers(min_value=1, max_value=96),
-        ),
-        min_size=1,
-        max_size=24,
-    )
-)
-def test_region_index_consistent_with_free_blocks(ops):
-    """The incremental region index (free_regions, large regions, run
-    lengths, max region) must agree with a view recomputed from the raw
-    free-block list after arbitrary range traffic."""
+def expected_regions(owned):
+    """Maximal free intervals recomputed from the ground-truth free set."""
+    regions = []
+    for frame in sorted(set(range(TOTAL)) - owned):
+        if regions and regions[-1][0] + regions[-1][1] == frame:
+            regions[-1] = (regions[-1][0], regions[-1][1] + 1)
+        else:
+            regions.append((frame, 1))
+    return regions
+
+
+def check_queries(buddy, owned):
+    """Every free-interval query agrees with a recompute from *owned*."""
     from repro.mem.buddy import LARGE_REGION_PAGES
 
-    buddy = BuddyAllocator(TOTAL)
-    owned = set()
-    for is_alloc, start, npages in ops:
-        npages = min(npages, TOTAL - start)
-        span = set(range(start, start + npages))
-        if is_alloc:
-            if span & owned:
-                continue
-            try:
-                buddy.alloc_range(start, npages)
-            except AllocationError:
-                continue
-            owned |= span
-        else:
-            if not span or not span <= owned:
-                continue
-            buddy.free_range(start, npages)
-            owned -= span
-
-    # Recompute merged free regions from the ground-truth free set.
-    free = sorted(set(range(TOTAL)) - owned)
-    expected = []
-    for frame in free:
-        if expected and expected[-1][0] + expected[-1][1] == frame:
-            expected[-1] = (expected[-1][0], expected[-1][1] + 1)
-        else:
-            expected.append((frame, 1))
-
+    expected = expected_regions(owned)
     assert buddy.free_regions() == expected
     assert buddy.large_free_regions() == [
         r for r in expected if r[1] >= LARGE_REGION_PAGES
     ]
-    expected_max = max(expected, key=lambda r: r[1], default=None)
-    assert buddy.max_free_region() == expected_max
-    for rstart, rpages in expected[:8]:
+    assert buddy.max_free_region() == max(expected, key=lambda r: r[1], default=None)
+    assert buddy.free_pages == TOTAL - len(owned)
+    for rstart, rpages in expected:
         assert buddy.free_run_length(rstart, TOTAL) == rpages
         mid = rstart + rpages // 2
         assert buddy.free_run_length(mid, TOTAL) == rpages - rpages // 2
-    for frame in list(owned)[:8]:
+    for frame in sorted(owned)[::17]:
         assert buddy.free_run_length(frame, TOTAL) == 0
+    free_space_invariants(buddy)
+
+
+OPS = ("alloc", "alloc_at", "alloc_range", "alloc_frames",
+       "free", "free_range", "free_frames")
+
+
+def spans_of(frames):
+    """Group frames in allocation order into contiguous (start, npages)."""
+    spans = []
+    for frame in frames:
+        if spans and spans[-1][0] + spans[-1][1] == frame:
+            spans[-1] = (spans[-1][0], spans[-1][1] + 1)
+        else:
+            spans.append((frame, 1))
+    return spans
+
+
+def claim(buddy, op, a, b):
+    """Run claim *op*; the (start, npages) spans it took, or [] on refusal."""
+    try:
+        if op == "alloc":
+            return [(buddy.alloc(b), 1 << b)]
+        if op == "alloc_at":
+            order = b % 5
+            start = a - a % (1 << order)
+            buddy.alloc_at(start, order)
+            return [(start, 1 << order)]
+        if op == "alloc_range":
+            npages = min(b * 13 + 1, TOTAL - a)
+            buddy.alloc_range(a, npages)
+            return [(a, npages)]
+    except AllocationError:
+        return []
+    count = min(b * 7 + 1, buddy.free_pages)
+    return spans_of(buddy.alloc_frames(count)) if count else []
+
+
+def release(buddy, op, start, npages):
+    """Run release *op* on part of a live span; the frames it returned."""
+    if op == "free":
+        if npages & (npages - 1) == 0 and start % npages == 0:
+            buddy.free(start, npages.bit_length() - 1)
+            return range(start, start + npages)
+        buddy.free(start, 0)
+        return range(start, start + 1)
+    if op == "free_range":
+        buddy.free_range(start, npages)
+    else:
+        buddy.free_frames(list(range(start + npages - 1, start - 1, -1)))
+    return range(start, start + npages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(OPS),
+            st.integers(min_value=0, max_value=TOTAL - 1),
+            st.integers(min_value=0, max_value=MAX_ORDER),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_region_index_consistent_with_free_blocks(ops):
+    """The incremental region index (free_regions, large regions, run
+    lengths, max region, free page count) agrees with a recompute from the
+    ground-truth free set after every operation of a random mix of every
+    claim and release, however many buddy splits or merges it made."""
+    buddy = BuddyAllocator(TOTAL)
+    owned: set[int] = set()
+    live: list[tuple[int, int]] = []
+    for op, a, b in ops:
+        if op.startswith("alloc"):
+            for start, npages in claim(buddy, op, a, b):
+                span = set(range(start, start + npages))
+                assert not span & owned
+                owned |= span
+                live.append((start, npages))
+        elif live:
+            start, npages = live.pop(a % len(live))
+            freed = release(buddy, op, start, npages)
+            owned -= set(freed)
+            if len(freed) < npages:
+                live.append((start + len(freed), npages - len(freed)))
+        check_queries(buddy, owned)
+
+
+def test_lazy_heaps_stay_bounded():
+    """Stale entries in the lazy heaps stay bounded by the live ones.
+    Unbounded, 5,000 alloc/free pairs leave 120,002 region-heap entries
+    for one free interval and 5,000 in each free-list heap below the top
+    order, while those lists hold no block."""
+    buddy = BuddyAllocator(4096)
+    for _ in range(5000):
+        buddy.free(buddy.alloc(0), 0)
+        assert len(buddy._regions._heap) <= 2 * len(buddy._regions) + 64
+        for free_list in buddy._free:
+            assert len(free_list._heap) <= 2 * len(free_list) + 64
+    assert buddy.free_regions() == [(0, 4096)]
+    assert buddy.max_free_region() == (0, 4096)

@@ -21,13 +21,37 @@ def table_invariants(pt: PageTable) -> None:
         assert pt.translate(vpn) == pfn
     for vregion, pregion in huge.items():
         assert pt.translate(vregion * PAGES_PER_HUGE) == pregion * PAGES_PER_HUGE
+    run_queries_agree(pt)
+
+
+def run_queries_agree(pt: PageTable, span: int = 5 * PAGES_PER_HUGE) -> None:
+    """mapped_run and unmapped_run_end agree with page-by-page translate."""
+    for vpn in range(0, span, 29):
+        region_end = (vpn // PAGES_PER_HUGE + 1) * PAGES_PER_HUGE
+        for limit in (vpn + 1, vpn + 40, region_end + 7):
+            stop = min(limit, region_end)
+            pfn = pt.translate(vpn)
+            if pfn is None:
+                expected = None
+            else:
+                count = 1
+                while vpn + count < stop and pt.translate(vpn + count) == pfn + count:
+                    count += 1
+                expected = (pfn, count)
+            assert pt.mapped_run(vpn, limit) == expected
+            if pt.is_huge(vpn // PAGES_PER_HUGE):
+                continue
+            first_mapped = next(
+                (v for v in range(vpn, stop) if pt.translate(v) is not None), stop
+            )
+            assert pt.unmapped_run_end(vpn, stop) == first_mapped
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["map_base", "map_huge", "unmap", "demote"]),
+            st.sampled_from(["map_base", "map_run", "map_huge", "unmap", "demote"]),
             st.integers(min_value=0, max_value=5 * PAGES_PER_HUGE - 1),
         ),
         max_size=80,
@@ -42,6 +66,10 @@ def test_random_operations_preserve_invariants(ops):
             if op == "map_base":
                 pt.map_base(vpn, next_pfn[0])
                 next_pfn[0] += 1
+            elif op == "map_run":
+                count = min(37, (vregion + 1) * PAGES_PER_HUGE - vpn)
+                pt.map_base_run(vpn, next_pfn[0], count)
+                next_pfn[0] += count
             elif op == "map_huge":
                 pt.map_huge(vregion, next_pfn[0] // PAGES_PER_HUGE + 100)
                 next_pfn[0] += PAGES_PER_HUGE

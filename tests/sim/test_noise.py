@@ -99,6 +99,51 @@ def test_act_horizon_predraw_matches_fresh_stream():
     assert predrawn._rng.random() == reference._rng.random()
 
 
+@pytest.mark.parametrize("take", ["one", "all"])
+def test_bulk_quiet_then_faults_matches_fresh_stream(take):
+    """act_horizon, then quiet(k) for k within the horizon, then m
+    per-fault deliveries consume the RNG stream and make the allocations
+    of k + m fresh on_fault calls (the test above is k = 0)."""
+    platform_a, vm_a = make_platform()
+    reference = NoiseAgent(platform_a, rate=0.2, seed=0)
+    reference.install()
+    platform_b, vm_b = make_platform()
+    batched = NoiseAgent(platform_b, rate=0.2, seed=0)
+    batched.install()
+
+    horizon = batched.act_horizon(64)
+    assert horizon > 1, "the seed must prove a quiet window"
+    k = {"one": 1, "all": horizon}[take]
+    batched.quiet(k)
+    m = 200
+    for _ in range(k + m):
+        reference.on_fault(vm_a)
+    for _ in range(m):
+        batched.on_fault(vm_b)
+    assert batched.allocations == reference.allocations > 0
+    assert batched.held_pages == reference.held_pages
+    assert batched._rng.random() == reference._rng.random()
+
+
+def test_quiet_beyond_the_proven_horizon_raises_and_changes_nothing():
+    platform, vm = make_platform()
+    noise = NoiseAgent(platform, rate=0.3, seed=3)
+    noise.install()
+    with pytest.raises(ValueError):
+        noise.quiet(1)  # nothing proven yet
+    horizon = noise.act_horizon(64)
+    assert horizon < 64, "the seed must end the window at an acting gate"
+    state = (noise._quiet, noise._armed, noise._rng.getstate())
+    with pytest.raises(ValueError):
+        noise.quiet(horizon + 1)
+    with pytest.raises(ValueError):
+        noise.quiet(-1)
+    assert (noise._quiet, noise._armed, noise._rng.getstate()) == state
+    noise.quiet(horizon)
+    noise.on_fault(vm)
+    assert noise.allocations == 1
+
+
 def test_act_horizon_counts_quiet_faults():
     """The returned horizon is exactly the number of leading faults that
     do not act; the next fault after the horizon acts (unless capped)."""
