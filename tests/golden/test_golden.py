@@ -12,8 +12,9 @@ equal the one in ``digests.json``:
   collocation run is also traced, pinning the identities of every
   emitted event;
 * the churning ``SMALL`` fleet of the cluster engine tests and the
-  overcommitted ``PRESSURED`` fleet of the pressure tests, stepped
-  in-process and traced, pinning both the
+  overcommitted ``PRESSURED`` fleet of the pressure tests, the latter
+  also with the ``lru-cold`` victim policy (naive balloon victims), all
+  stepped in-process and traced, pinning both the
   :class:`~repro.cluster.results.FleetResult` and the identities of every
   emitted event.
 
@@ -75,7 +76,15 @@ RUNS = {
 #: The single-host run whose event stream is pinned.
 TRACED_RUN = "collocation"
 
-FLEETS = {"small": SMALL, "pressured": PRESSURED}
+FLEETS = {
+    "small": SMALL,
+    "pressured": PRESSURED,
+    # The same fleet with naive (lowest-free) balloon victims and the
+    # lru-cold swap order: the only golden run of the naive balloon.
+    "pressured-lru": replace(
+        PRESSURED, pressure=replace(PRESSURED.pressure, victim_policy="lru-cold")
+    ),
+}
 
 CELLS = [f"{variant}/{system}" for variant in VARIANTS for system in SYSTEMS]
 
