@@ -19,13 +19,21 @@ be studied:
   paper's rule — prefer pages whose host backing is base pages or
   mis-aligned huge pages, and only demote well-aligned huge pages as a
   last resort.
+
+The balloon works in runs of consecutive guest frames: one ``alloc_range``
+claims each alignment-aware victim run (one ``alloc_frames`` all naive
+victims), and one :meth:`~repro.os.mm.MemoryLayer.release_base` per
+guest-physical region of a run unmaps its EPT mappings and frees their
+host frames, so every range operation applies its net change once.  The
+result equals releasing the victims page by page in the same order: the
+demotions keep their order, and buddy coalescing does not depend on the
+order a run's frames come back.
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.mem.buddy import AllocationError
-from repro.mem.layout import PAGES_PER_HUGE
+from repro.mem.layout import PAGES_PER_HUGE, contiguous_runs
 from repro.os.mm import PROCESS
 from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import VM
@@ -58,12 +66,32 @@ class BalloonDriver:
         the guest allocator), so the workload's mappings are untouched;
         only the *host backing* of the ballooned pages is released.
         """
-        reclaimed = 0
-        inflated = 0
-        for gpn in self._select_victims(npages):
-            self._ballooned.append(gpn)
-            inflated += 1
-            reclaimed += self._release_host_backing(gpn)
+        # Host demotions leave the guest table alone, so its huge targets
+        # (the well-aligned test) hold for the whole inflate.
+        guest_huge_targets = {
+            gp for _, gp in self.vm.guest.table(PROCESS).huge_mappings()
+        }
+        host = self.platform.host
+        ept = self.platform.ept(self.vm.id)
+        inflated = reclaimed = 0
+        for start, count in self._select_victims(npages, guest_huge_targets):
+            self._ballooned.extend(range(start, start + count))
+            inflated += count
+            end = start + count
+            while start < end:
+                gpregion = start // PAGES_PER_HUGE
+                stop = min(end, (gpregion + 1) * PAGES_PER_HUGE)
+                if ept.is_huge(gpregion):
+                    host.demote(self.vm.id, gpregion)
+                    self.demoted_huge_pages += 1
+                    obs.count("balloon.demoted_huge_pages")
+                    if gpregion in guest_huge_targets:
+                        self.demoted_aligned_huge_pages += 1
+                        obs.count("balloon.demoted_aligned_huge_pages")
+                # Refcount-aware release: a KSM-shared frame only loses
+                # this VM's reference.
+                reclaimed += len(host.release_base(self.vm.id, gpregion, start, stop))
+                start = stop
         if inflated:
             obs.count("balloon.inflated_pages", inflated)
         if reclaimed:
@@ -74,10 +102,9 @@ class BalloonDriver:
         """Return every ballooned page to the guest; the host re-backs
         them lazily on the next touch (EPT fault)."""
         released = len(self._ballooned)
-        for gpn in self._ballooned:
-            self.vm.gpa_space.free(gpn, 0)
-        self._ballooned.clear()
         if released:
+            self.vm.gpa_space.free_frames(self._ballooned)
+            self._ballooned.clear()
             obs.count("balloon.deflated_pages", released)
         return released
 
@@ -89,74 +116,59 @@ class BalloonDriver:
     # Victim selection
     # ------------------------------------------------------------------
 
-    def _select_victims(self, npages: int) -> list[int]:
+    def _select_victims(
+        self, npages: int, guest_huge_targets: set[int]
+    ) -> list[tuple[int, int]]:
+        """Claim up to *npages* free guest pages; return them as runs of
+        consecutive frames in victim order."""
+        gpa_space = self.vm.gpa_space
         if not self.alignment_aware:
-            return self._take_lowest_free(npages)
-        ept = self.platform.ept(self.vm.id)
-        guest_table = self.vm.guest.table(PROCESS)
-        guest_huge_targets = {gp for _, gp in guest_table.huge_mappings()}
-
-        def backing_class(gpn: int) -> int:
-            """0 = base-backed (reclaims a frame, breaks nothing),
-            1 = unbacked (reclaims nothing), 2 = mis-aligned host huge,
-            3 = well-aligned host huge (touch last)."""
-            gpregion = gpn // PAGES_PER_HUGE
-            if not ept.is_huge(gpregion):
-                return 0 if ept.translate(gpn) is not None else 1
-            return 3 if gpregion in guest_huge_targets else 2
-
-        candidates = self._free_pages()
-        candidates.sort(key=lambda gpn: (backing_class(gpn), gpn))
-        victims = []
-        for gpn in candidates[:npages]:
-            try:
-                self.vm.gpa_space.alloc_at(gpn, 0)
-            except AllocationError:  # pragma: no cover - raced reservation
-                continue
-            victims.append(gpn)
-        return victims
-
-    def _take_lowest_free(self, npages: int) -> list[int]:
-        victims = []
-        for _ in range(npages):
-            try:
-                victims.append(self.vm.gpa_space.alloc(0))
-            except AllocationError:
-                break
-        return victims
-
-    def _free_pages(self) -> list[int]:
-        pages = []
-        for start, count in self.vm.gpa_space.free_regions():
-            pages.extend(range(start, start + count))
-        return pages
-
-    # ------------------------------------------------------------------
-    # Host side
-    # ------------------------------------------------------------------
-
-    def _release_host_backing(self, gpn: int) -> int:
-        """Free the host frame behind *gpn*, demoting a huge EPT entry if
-        one covers it."""
-        host = self.platform.host
-        ept = self.platform.ept(self.vm.id)
-        gpregion = gpn // PAGES_PER_HUGE
-        if ept.is_huge(gpregion):
-            guest_table = self.vm.guest.table(PROCESS)
-            aligned = any(
-                gp == gpregion for _, gp in guest_table.huge_mappings()
+            # The lowest free pages, in the order order-0 allocation
+            # hands them out.
+            return list(
+                contiguous_runs(
+                    gpa_space.alloc_frames(min(npages, gpa_space.free_pages))
+                )
             )
-            host.demote(self.vm.id, gpregion)
-            self.demoted_huge_pages += 1
-            obs.count("balloon.demoted_huge_pages")
-            if aligned:
-                self.demoted_aligned_huge_pages += 1
-                obs.count("balloon.demoted_aligned_huge_pages")
-        if ept.translate(gpn) is None:
-            return 0
-        hpn = ept.unmap_base(gpn)
-        # Refcount-aware release: the frame may be KSM-shared with other
-        # mappings, in which case only this VM's reference goes away.
-        host._drop_rmap(hpn, self.vm.id, gpn)
-        host.release_frame(hpn)
-        return 1
+        # Backing classes, in the order victims are taken: 0 = base-backed
+        # (reclaims a frame, breaks nothing), 1 = unbacked (reclaims
+        # nothing), 2 = mis-aligned host huge, 3 = well-aligned host huge
+        # (touch last).  Each class lists its runs in ascending order.
+        ept = self.platform.ept(self.vm.id)
+        classes: tuple[list[tuple[int, int]], ...] = ([], [], [], [])
+        for start, count in gpa_space.free_regions():
+            end = start + count
+            pos = start
+            while pos < end:
+                gpregion = pos // PAGES_PER_HUGE
+                stop = min(end, (gpregion + 1) * PAGES_PER_HUGE)
+                if ept.is_huge(gpregion):
+                    tier = 3 if gpregion in guest_huge_targets else 2
+                    classes[tier].append((pos, stop - pos))
+                    pos = stop
+                    continue
+                while pos < stop:
+                    run = ept.mapped_run(pos, stop)
+                    if run is None:
+                        run_end = ept.unmapped_run_end(pos, stop)
+                        classes[1].append((pos, run_end - pos))
+                        pos = run_end
+                        continue
+                    # Backed pages form one victim run even where their
+                    # host frames are not contiguous.
+                    run_end = pos + run[1]
+                    while run_end < stop and (run := ept.mapped_run(run_end, stop)):
+                        run_end += run[1]
+                    classes[0].append((pos, run_end - pos))
+                    pos = run_end
+        victims: list[tuple[int, int]] = []
+        remaining = npages
+        for runs in classes:
+            for start, count in runs:
+                if remaining <= 0:
+                    break
+                count = min(count, remaining)
+                gpa_space.alloc_range(start, count)
+                victims.append((start, count))
+                remaining -= count
+        return victims

@@ -16,7 +16,9 @@ Beyond the standard ``alloc``/``free`` interface this allocator supports the
 * :meth:`BuddyAllocator.alloc_range` / :meth:`BuddyAllocator.free_range` —
   claim or release an arbitrary page range by decomposing it into maximal
   aligned blocks (used by the booking component to reserve huge-page-sized
-  regions and by the fragmenter tool).
+  regions, by the balloon and by the fragmenter tool).  The range is
+  checked once, before any block moves, so a refused range operation
+  changes nothing.
 
 Addresses are base-page frame numbers (see :mod:`repro.mem.layout`).
 """
@@ -59,6 +61,9 @@ class _RegionIndex:
     depend only on the free set, so each allocator operation applies its
     net change once — an allocation carves out the claimed range, a free
     adds its block — however many buddy splits or merges it performs.
+    Range operations (``alloc_range``, ``free_range`` and the runs of
+    ``alloc_frames`` / ``free_frames``) likewise apply the whole range in
+    one update, however many aligned blocks it decomposes into.
     Gemini's contiguity list walks free regions on every anchor, which made
     the recompute the single hottest path of a fragmented run.
     """
@@ -369,21 +374,10 @@ class BuddyAllocator:
         self._check_order(order)
         if start % (1 << order) != 0:
             raise ValueError(f"block start {start} not aligned to order {order}")
-        if not self._within(start, 1 << order):
-            raise ValueError(f"block ({start}, order {order}) outside memory")
-        if self._regions.pages_in_range(start, 1 << order) > 0:
-            raise ValueError(f"double free of block ({start}, order {order})")
+        self._check_allocated(start, 1 << order)
+        self._merge_in(start, order)
         self.free_pages += 1 << order
         self._regions.add(start, start + (1 << order))
-        # Merge with free buddies (a block in a free list lies in memory).
-        while order < MAX_ORDER:
-            buddy = start ^ (1 << order)
-            if buddy not in self._free[order]:
-                break
-            self._free[order].remove(buddy)
-            start = min(start, buddy)
-            order += 1
-        self._free[order].add(start)
 
     # ------------------------------------------------------------------
     # Targeted allocation (booking / EMA support)
@@ -398,22 +392,7 @@ class BuddyAllocator:
         self._check_order(order)
         if start % (1 << order) != 0:
             raise ValueError(f"block start {start} not aligned to order {order}")
-        container = self._containing_free_block(start, order)
-        if container is None:
-            raise AllocationError(f"block ({start}, order {order}) not fully free")
-        cstart, corder = container
-        self._free[corder].remove(cstart)
-        # Split the container, keeping the half containing the target and
-        # freeing the other half, until we reach the requested block.
-        while corder > order:
-            corder -= 1
-            low, high = cstart, cstart + (1 << corder)
-            if start < high:
-                self._free[corder].add(high)
-                cstart = low
-            else:
-                self._free[corder].add(low)
-                cstart = high
+        self._claim(start, order)
         self.free_pages -= 1 << order
         self._regions.remove(start, start + (1 << order))
 
@@ -421,17 +400,34 @@ class BuddyAllocator:
         """Claim the exact page range ``[start, start + npages)``.
 
         The whole range must currently be free; on failure nothing is
-        allocated.
+        allocated.  Each maximal aligned block of the range is split out
+        of the free lists, and the page count and interval index take the
+        whole range in one update.
         """
         if not self.range_is_free(start, npages):
             raise AllocationError(f"range ({start}, {npages} pages) not fully free")
         for block, order in _decompose(start, npages):
-            self.alloc_at(block, order)
+            self._claim(block, order)
+        self.free_pages -= npages
+        self._regions.remove(start, start + npages)
 
     def free_range(self, start: int, npages: int) -> None:
-        """Release the exact page range ``[start, start + npages)``."""
+        """Release the exact page range ``[start, start + npages)``.
+
+        The whole range must lie in memory and be allocated; on failure
+        nothing is freed.  Each maximal aligned block of the range merges
+        into the free lists, and the page count and interval index take
+        the whole range in one update.
+        """
+        if npages < 0:
+            raise ValueError(f"negative page count: {npages}")
+        if npages == 0:
+            return
+        self._check_allocated(start, npages)
         for block, order in _decompose(start, npages):
-            self.free(block, order)
+            self._merge_in(block, order)
+        self.free_pages += npages
+        self._regions.add(start, start + npages)
 
     # ------------------------------------------------------------------
     # Queries
@@ -515,13 +511,49 @@ class BuddyAllocator:
     def _within(self, start: int, npages: int) -> bool:
         return start >= self.base and start + npages <= self.base + self.total_pages
 
-    def _containing_free_block(self, start: int, order: int) -> tuple[int, int] | None:
-        """Find the free block fully containing block (start, order)."""
+    def _check_allocated(self, start: int, npages: int) -> None:
+        """Raise ValueError unless ``[start, start + npages)`` lies in
+        memory with no free page: the precondition of every release."""
+        if not self._within(start, npages):
+            raise ValueError(f"range ({start}, {npages} pages) outside memory")
+        if self._regions.pages_in_range(start, npages) > 0:
+            raise ValueError(f"double free in range ({start}, {npages} pages)")
+
+    def _claim(self, start: int, order: int) -> None:
+        """Take block (start, order) off the free lists: split the free
+        block containing it, freeing the halves that do not hold it.  The
+        free-list half of a claim; the caller updates the page count and
+        the interval index."""
         for corder in range(order, MAX_ORDER + 1):
             cstart = start - (start % (1 << corder))
             if cstart in self._free[corder]:
-                return cstart, corder
-        return None
+                break
+        else:
+            raise AllocationError(f"block ({start}, order {order}) not fully free")
+        self._free[corder].remove(cstart)
+        while corder > order:
+            corder -= 1
+            high = cstart + (1 << corder)
+            if start < high:
+                self._free[corder].add(high)
+            else:
+                self._free[corder].add(cstart)
+                cstart = high
+
+    def _merge_in(self, start: int, order: int) -> None:
+        """Put free block (start, order) on the free lists, merging it with
+        free buddies.  The free-list half of a release; the caller updates
+        the page count and the interval index.  Merging eagerly keeps the
+        decomposition canonical: no free block below MAX_ORDER has its
+        buddy free, so the free lists are a function of the free set."""
+        while order < MAX_ORDER:
+            buddy = start ^ (1 << order)
+            if buddy not in self._free[order]:
+                break
+            self._free[order].remove(buddy)
+            start = min(start, buddy)
+            order += 1
+        self._free[order].add(start)
 
     @staticmethod
     def _check_order(order: int) -> None:

@@ -13,6 +13,8 @@ and avoids carrying the 12 trailing zero bits around.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT  # 4 KiB
 
@@ -89,3 +91,18 @@ def order_for_pages(npages: int) -> int:
     if order > MAX_ORDER:
         raise ValueError(f"{npages} pages exceed MAX_ORDER block size")
     return order
+
+
+def contiguous_runs(frames: list[int]) -> Iterator[tuple[int, int]]:
+    """Group a frame list into (start, count) runs of consecutive values,
+    preserving the list order."""
+    if not frames:
+        return
+    run_start = prev = frames[0]
+    for frame in frames[1:]:
+        if frame == prev + 1:
+            prev = frame
+            continue
+        yield run_start, prev - run_start + 1
+        run_start = prev = frame
+    yield run_start, prev - run_start + 1

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 from repro import obs
 from repro.mem.buddy import AllocationError
-from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
+from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE, contiguous_runs
 from repro.mem.physmem import PhysicalMemory
 from repro.metrics.counters import CostLedger
 from repro.paging.pagetable import PageTable
@@ -42,21 +42,6 @@ PROCESS = 0
 
 #: Shared empty owner bucket for regions with no base-mapped frames.
 _EMPTY_COUNTS: dict[tuple[int, int], int] = {}
-
-
-def _contiguous_runs(frames: list[int]) -> Iterator[tuple[int, int]]:
-    """Group a frame list into (start, count) runs of consecutive values,
-    preserving the list order."""
-    if not frames:
-        return
-    run_start = prev = frames[0]
-    for frame in frames[1:]:
-        if frame == prev + 1:
-            prev = frame
-            continue
-        yield run_start, prev - run_start + 1
-        run_start = prev = frame
-    yield run_start, prev - run_start + 1
 
 
 class OutOfMemory(Exception):
@@ -475,7 +460,7 @@ class MemoryLayer:
                             # Short of frames, the per-page loop below
                             # runs the reclaim path at the exact page.
                             frames = self.memory.alloc_frames(count)
-                            for rstart, rcount in _contiguous_runs(frames):
+                            for rstart, rcount in contiguous_runs(frames):
                                 table.map_base_run(pos, rstart, rcount)
                                 self._set_rmap_run(rstart, client, pos, rcount)
                                 emit(pos, rstart, rcount, "base")
@@ -562,12 +547,9 @@ class MemoryLayer:
         pregion = self.alloc_huge_region()
         if pregion is None:
             return False
-        mappings = table.unmap_region_base(vregion)
-        self._drop_rmap_region(client, vregion, mappings)
-        self._free_frames_batch(mappings.values())
+        populated = len(self.release_base(client, vregion))
         table.map_huge(vregion, pregion)
         self._rmap_huge[pregion] = (client, vregion)
-        populated = len(mappings)
         bloat = PAGES_PER_HUGE - populated
         if bloat:
             self._bloat[(client, vregion)] = bloat
@@ -740,6 +722,28 @@ class MemoryLayer:
     # Unmapping
     # ------------------------------------------------------------------
 
+    def release_base(
+        self,
+        client: int,
+        vregion: int,
+        start: int | None = None,
+        end: int | None = None,
+    ) -> dict[int, int]:
+        """Unmap the base mappings of *vregion* (or of the vpn window
+        ``[start, end)`` inside it, see :meth:`PageTable.unmap_region_base`),
+        drop their reverse-map entries and release their frames; return the
+        removed mappings.
+
+        Equals per-page unmap, rmap drop and :meth:`release_frame` over
+        the removed pages: a KSM-shared frame only loses a reference, and
+        buddy coalescing does not depend on the order frames come back.
+        """
+        mappings = self.table(client).unmap_region_base(vregion, start, end)
+        if mappings:
+            self._drop_rmap_region(client, vregion, mappings)
+            self._free_frames_batch(mappings.values())
+        return mappings
+
     def unmap_range(self, client: int, start: int, npages: int) -> None:
         """Unmap ``[start, start + npages)`` and free the backing frames.
 
@@ -761,16 +765,11 @@ class MemoryLayer:
                     continue
                 self.demote(client, vregion)
             if start <= rstart and rend <= end:
-                mappings = table.unmap_region_base(vregion)
-                if mappings:
-                    self._drop_rmap_region(client, vregion, mappings)
-                    self._free_frames_batch(mappings.values())
-                continue
-            for vpn, pfn in table.region_mappings(vregion).items():
-                if start <= vpn < end:
-                    table.unmap_base(vpn)
-                    self._drop_rmap(pfn, client, vpn)
-                    self.release_frame(pfn)
+                self.release_base(client, vregion)
+            else:
+                self.release_base(
+                    client, vregion, max(start, rstart), min(end, rend)
+                )
         self.policy.on_unmap(client, start, end)
 
     def has_client(self, client: int) -> bool:

@@ -371,8 +371,9 @@ class VMTranslationIndex:
     def region_base_cleared(
         self, table: PageTable, vregion: int, mappings: dict[int, int]
     ) -> None:
-        # Batched form of `base_unmapped` over a whole region: identical
-        # end state, with per-page counter updates aggregated.
+        # Batched form of `base_unmapped` over a region's removed pages
+        # (all of them or a window): identical end state, with per-page
+        # counter updates aggregated and one invalidation per region.
         if table is self.guest:
             drops: dict[int, int] = {}
             for pfn in mappings.values():

@@ -124,12 +124,21 @@ class PageTable:
         if self.index is not None:
             self.index.base_mapped_run(self, vpn, pfn, count)
 
-    def unmap_region_base(self, vregion: int) -> dict[int, int]:
-        """Remove every base mapping of *vregion*; return them.
+    def unmap_region_base(
+        self, vregion: int, start: int | None = None, end: int | None = None
+    ) -> dict[int, int]:
+        """Remove the base mappings of *vregion*; return them.
 
-        Batch equivalent of :meth:`unmap_base` over the region's pages in
-        mapping order, delivered to the index as one composite event.
+        Without a window, removes every mapping of the region and returns
+        them in mapping order.  With a vpn window ``[start, end)`` inside
+        the region, removes only the mappings there and returns them in
+        ascending vpn order; a window leaving the region raises
+        :class:`MappingError`.  Either way this is the batch equivalent of
+        :meth:`unmap_base` over the removed pages, delivered to the index
+        as one composite event (none when nothing was mapped).
         """
+        if start is not None:
+            return self._unmap_window(vregion, start, end)
         bucket = self._region_base.pop(vregion, None)
         if bucket is None:
             return {}
@@ -140,6 +149,41 @@ class PageTable:
         if self.index is not None:
             self.index.region_base_cleared(self, vregion, bucket)
         return bucket
+
+    def _unmap_window(self, vregion: int, start: int, end: int) -> dict[int, int]:
+        first = vregion * PAGES_PER_HUGE
+        if not first <= start <= end <= first + PAGES_PER_HUGE:
+            raise MappingError(
+                f"{self.name}: window [{start}, {end}) leaves region {vregion}"
+            )
+        bucket = self._region_base.get(vregion)
+        if not bucket:
+            return {}
+        if len(bucket) < end - start:
+            vpns = sorted(v for v in bucket if start <= v < end)
+        else:
+            vpns = range(start, end)
+        base = self._base
+        deltas = self._region_delta[vregion]
+        removed: dict[int, int] = {}
+        for vpn in vpns:
+            pfn = bucket.pop(vpn, None)
+            if pfn is None:
+                continue
+            del base[vpn]
+            removed[vpn] = pfn
+            d = pfn - vpn
+            count = deltas[d] - 1
+            if count:
+                deltas[d] = count
+            else:
+                del deltas[d]
+        if not bucket:
+            del self._region_base[vregion]
+            del self._region_delta[vregion]
+        if removed and self.index is not None:
+            self.index.region_base_cleared(self, vregion, removed)
+        return removed
 
     def map_huge(self, vregion: int, pregion: int) -> None:
         """Install a 2 MiB mapping of virtual region -> physical region."""

@@ -395,30 +395,25 @@ class PressureController:
             if candidate.backing == BACKING_ALIGNED_HUGE:
                 aligned = 1
                 self.swap_aligned_demotions += 1
-        vm = self.platform.vms[vm_id]
-        base = gpregion * PAGES_PER_HUGE
-        freed = 0
+        mappings = host.release_base(vm_id, gpregion)
+        if not mappings:
+            return 0, demoted, aligned
+        # The device sees the pages in ascending order, one at a time, so
+        # its latency draws and the ledgers' sums keep their order.
+        device = self.device
+        guest_ledger = self.platform.vms[vm_id].guest.ledger
         cycles = 0.0
-        for gpn in range(base, base + PAGES_PER_HUGE):
-            hpn = ept.translate(gpn)
-            if hpn is None:
-                continue
-            if self.device.contains(vm_id, gpn):
+        for gpn in sorted(mappings):
+            if device.contains(vm_id, gpn):
                 # Swapped out earlier, demand-faulted back in, and the
                 # swap-in has not been reconciled yet (this pass can run
                 # mid-epoch via emergency reclaim): settle the pending
                 # swap-in before writing the page out again.
-                vm.guest.ledger.charge(
-                    "swap_in", self.device.swap_in(vm_id, gpn)
-                )
+                guest_ledger.charge("swap_in", device.swap_in(vm_id, gpn))
                 obs.count("pressure.swap_in_pages")
-            ept.unmap_base(gpn)
-            host._drop_rmap(hpn, vm_id, gpn)
-            host.release_frame(hpn)
-            cycles += self.device.swap_out(vm_id, gpn)
-            freed += 1
-        if freed:
-            host.ledger.charge("swap_out", cycles, count=freed, sync=False)
+            cycles += device.swap_out(vm_id, gpn)
+        freed = len(mappings)
+        host.ledger.charge("swap_out", cycles, count=freed, sync=False)
         return freed, demoted, aligned
 
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.hypervisor.balloon import BalloonDriver
 from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
 from repro.mem.fragmentation import Fragmenter, fmfi
-from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
+from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE, contiguous_runs
 from repro.metrics.alignment import AlignmentReport, classify_region
 from repro.metrics.performance import EpochPerformance, epoch_performance
 from repro.policies.base import EpochTelemetry
@@ -132,9 +132,12 @@ def backfill_host(platform: Platform, vm: VM, vregion: int) -> None:
         # batched walk makes the identical per-page decisions.
         platform.host.fault_range(vm.id, gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
         return
-    for _, gpn in guest_table.region_items(vregion):
-        if ept.translate(gpn) is None:
-            platform.host.fault(vm.id, gpn, full_region=True)
+    # Runs of consecutive guest frames, in mapping order: the order
+    # decides which host frames the faults receive, so it must not be
+    # sorted.  ``fault_range`` skips the backed pages itself.
+    gpns = [gpn for _, gpn in guest_table.region_items(vregion)]
+    for start, count in contiguous_runs(gpns):
+        platform.host.fault_range(vm.id, start, count)
 
 
 def charge_dedup_cow(vm: VM, workload: Workload) -> None:

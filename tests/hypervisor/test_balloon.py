@@ -4,6 +4,7 @@ import pytest
 
 from repro.hypervisor.balloon import BalloonDriver
 from repro.hypervisor.platform import Platform
+from repro.mem.buddy import AllocationError
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.mm import PROCESS
 from repro.policies.base import HugePagePolicy
@@ -134,3 +135,166 @@ def test_inflate_and_deflate_emit_obs_counters():
     finally:
         obs.disable()
         obs.clear_context()
+
+
+# ----------------------------------------------------------------------
+# Twin runs against the page-by-page reference
+# ----------------------------------------------------------------------
+
+
+def reference_inflate(balloon, npages):
+    """The balloon taken one page at a time: sort every free guest page
+    by backing class (or take the lowest free pages), claim each with
+    ``alloc_at``/``alloc``, then release each page's host backing alone."""
+    platform, vm = balloon.platform, balloon.vm
+    host, ept = platform.host, platform.ept(vm.id)
+    guest_table = vm.guest.table(PROCESS)
+    if balloon.alignment_aware:
+        targets = {gp for _, gp in guest_table.huge_mappings()}
+
+        def backing_class(gpn):
+            gpregion = gpn // PAGES_PER_HUGE
+            if not ept.is_huge(gpregion):
+                return 0 if ept.translate(gpn) is not None else 1
+            return 3 if gpregion in targets else 2
+
+        pages = [
+            gpn
+            for start, count in vm.gpa_space.free_regions()
+            for gpn in range(start, start + count)
+        ]
+        pages.sort(key=lambda gpn: (backing_class(gpn), gpn))
+        victims = pages[:npages]
+        for gpn in victims:
+            vm.gpa_space.alloc_at(gpn, 0)
+    else:
+        victims = []
+        for _ in range(npages):
+            try:
+                victims.append(vm.gpa_space.alloc(0))
+            except AllocationError:
+                break
+    reclaimed = 0
+    for gpn in victims:
+        balloon._ballooned.append(gpn)
+        gpregion = gpn // PAGES_PER_HUGE
+        if ept.is_huge(gpregion):
+            aligned = any(gp == gpregion for _, gp in guest_table.huge_mappings())
+            host.demote(vm.id, gpregion)
+            balloon.demoted_huge_pages += 1
+            if aligned:
+                balloon.demoted_aligned_huge_pages += 1
+        if ept.translate(gpn) is None:
+            continue
+        hpn = ept.unmap_base(gpn)
+        host._drop_rmap(hpn, vm.id, gpn)
+        host.release_frame(hpn)
+        reclaimed += 1
+    return reclaimed
+
+
+def reference_deflate(balloon):
+    released = len(balloon._ballooned)
+    for gpn in balloon._ballooned:
+        balloon.vm.gpa_space.free(gpn, 0)
+    balloon._ballooned.clear()
+    return released
+
+
+def four_class_setup():
+    """Free guest memory holding every backing class, in address order
+    that differs from class order:
+
+    * gpa region 0: host huge and a guest huge target (well-aligned);
+    * gpa region 1: host huge, no guest huge mapping (mis-aligned);
+    * gpa regions 2-3: 322 free base-backed pages in runs on
+      non-contiguous host frames, 677 free unbacked ones between them,
+      and guest-allocated pages splitting the free intervals;
+    * one base-backed free page KSM-merged onto another page's frame.
+
+    Gpa regions 4-15 are allocated to the guest.
+    """
+    platform, vm = make_setup(host_policy=HostHuge())
+    host, ept = platform.host, platform.ept(vm.id)
+    host.enable_owner_index()
+    host.fault(vm.id, 0, full_region=True)
+    host.fault(vm.id, PAGES_PER_HUGE, full_region=True)
+    vm.gpa_space.alloc_range(4 * PAGES_PER_HUGE, 12 * PAGES_PER_HUGE)
+    vm.guest.table(PROCESS).map_huge(8, 0)
+    base = 2 * PAGES_PER_HUGE
+    for gpn in [*range(base + 300, base + 340), *range(base + 10, base + 90, 3),
+                *range(base + 500, base + 700), *range(base + 120, base + 200)]:
+        host.fault(vm.id, gpn, full_region=False)
+    vm.gpa_space.alloc_range(base + 150, 20)
+    vm.gpa_space.alloc_range(base + 600, 5)
+    # Merge free page base+301 onto base+300's frame, as KSM would.
+    shared = ept.translate(base + 300)
+    duplicate = ept.unmap_base(base + 301)
+    host._drop_rmap(duplicate, vm.id, base + 301)
+    host.release_frame(duplicate)
+    ept.map_base(base + 301, shared)
+    host.add_frame_ref(shared)
+    return platform, vm
+
+
+def balloon_state(platform, vm, balloon, host_frames):
+    host, ept = platform.host, platform.ept(vm.id)
+    host_regions = sorted({f // PAGES_PER_HUGE for f in host_frames})
+    return {
+        "ballooned": list(balloon._ballooned),
+        "base": list(ept.base_mappings()),
+        "huge": list(ept.huge_mappings()),
+        "populated": list(ept.populated_regions()),
+        "host_free": platform.memory.free_regions(),
+        "host_blocks": [n.free_block_counts() for n in platform.memory.nodes],
+        "guest_free": vm.gpa_space.free_regions(),
+        "guest_blocks": [n.free_block_counts() for n in vm.gpa_space.nodes],
+        "owners": [host.owner_of_frame(f) for f in host_frames],
+        "owner_counts": [dict(host.region_owner_counts(p)) for p in host_regions],
+        "rmap_bits": [host.rmap_bits(p) for p in host_regions],
+        "refs": dict(host._frame_refs),
+        "demoted": (balloon.demoted_huge_pages, balloon.demoted_aligned_huge_pages),
+        "report": platform.index_of(vm).report(),
+    }
+
+
+@pytest.mark.parametrize("alignment_aware", [True, False])
+def test_inflate_and_deflate_match_page_by_page_reference(alignment_aware):
+    """Inflating in runs leaves exactly the state the page-by-page balloon
+    leaves, victim order, demotions, KSM references and both allocators
+    included: an inflate cutting inside the base-backed class, one cutting
+    inside a huge region, one asking for more than all free memory, and
+    the deflate after them."""
+    twins = []
+    for _ in range(2):
+        platform, vm = four_class_setup()
+        balloon = BalloonDriver(platform, vm, alignment_aware=alignment_aware)
+        twins.append((platform, vm, balloon))
+    (platform, vm, balloon), (ref_platform, ref_vm, ref_balloon) = twins
+    host_frames = sorted(
+        {hpn for _, hpn in ref_platform.ept(ref_vm.id).base_mappings()}
+        | {
+            hp * PAGES_PER_HUGE + i
+            for _, hp in ref_platform.ept(ref_vm.id).huge_mappings()
+            for i in range(PAGES_PER_HUGE)
+        }
+    )
+    # Aware victims: 100 of the 322 base-backed pages; the other 222, the
+    # 677 unbacked ones and 101 pages of the mis-aligned huge region; the
+    # rest of it and the well-aligned region.
+    demotions = [(0, 0), (1, 0), (2, 1)]
+    for npages, demoted in zip((100, 1000, 16 * PAGES_PER_HUGE), demotions):
+        assert balloon.inflate(npages) == reference_inflate(ref_balloon, npages)
+        assert balloon_state(platform, vm, balloon, host_frames) == balloon_state(
+            ref_platform, ref_vm, ref_balloon, host_frames
+        )
+        if alignment_aware:
+            assert (
+                balloon.demoted_huge_pages, balloon.demoted_aligned_huge_pages
+            ) == demoted
+    assert vm.gpa_space.free_pages == 0
+    assert balloon.inflated_pages == 4 * PAGES_PER_HUGE - 25
+    assert balloon.deflate() == reference_deflate(ref_balloon)
+    assert balloon_state(platform, vm, balloon, host_frames) == balloon_state(
+        ref_platform, ref_vm, ref_balloon, host_frames
+    )

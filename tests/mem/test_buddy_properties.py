@@ -12,10 +12,13 @@ TOTAL = 2048
 
 def free_space_invariants(buddy):
     """Free-list bookkeeping must agree with the free_pages counter, blocks
-    must be aligned, in range, and pairwise disjoint."""
+    must be aligned, in range, pairwise disjoint and canonical: no free
+    block below MAX_ORDER has its same-order buddy free too (eager
+    merging), which makes the free lists a function of the free set."""
     seen = set()
     total = 0
-    for start, order in buddy.free_blocks():
+    blocks = set(buddy.free_blocks())
+    for start, order in blocks:
         size = 1 << order
         assert start % size == 0
         assert buddy.base <= start
@@ -24,6 +27,8 @@ def free_space_invariants(buddy):
         assert not frames & seen, "overlapping free blocks"
         seen |= frames
         total += size
+        if order < MAX_ORDER:
+            assert (start ^ size, order) not in blocks, "unmerged buddies"
     assert total == buddy.free_pages
 
 
@@ -336,3 +341,86 @@ def test_lazy_heaps_stay_bounded():
             assert len(free_list._heap) <= 2 * len(free_list) + 64
     assert buddy.free_regions() == [(0, 4096)]
     assert buddy.max_free_region() == (0, 4096)
+
+
+def allocator_state(buddy):
+    return canonical_blocks(buddy), buddy.free_regions(), buddy.free_pages
+
+
+def fully_allocated(total):
+    buddy = BuddyAllocator(total)
+    buddy.alloc_range(0, total)
+    return buddy
+
+
+def holed(total):
+    """[0, 16) allocated, then [4, 8) freed again."""
+    buddy = BuddyAllocator(total)
+    buddy.alloc_range(0, 16)
+    buddy.free_range(4, 4)
+    return buddy
+
+
+@pytest.mark.parametrize(
+    "build, op, start, npages, error",
+    [
+        # Frees [2, 4) before reaching the free [4, 8) block, block by block.
+        (holed, "free_range", 2, 6, ValueError),
+        (holed, "free_range", 6, 4, ValueError),
+        # Frees [60, 64) before reaching the end of memory, block by block.
+        (fully_allocated, "free_range", 60, 8, ValueError),
+        (fully_allocated, "free_range", -4, 8, ValueError),
+        (holed, "alloc_range", 2, 4, AllocationError),
+        (holed, "alloc_range", 6, 4, AllocationError),
+        (holed, "alloc_range", 60, 8, AllocationError),
+    ],
+)
+def test_refused_range_operation_changes_nothing(build, op, start, npages, error):
+    """A range operation that is refused (a double free part-way in, a
+    range leaving memory, an overlap with allocated pages) raises before
+    it moves any block: free lists, free regions and the page count stay
+    as they were."""
+    buddy = build(64)
+    before = allocator_state(buddy)
+    with pytest.raises(error):
+        getattr(buddy, op)(start, npages)
+    assert allocator_state(buddy) == before
+    free_space_invariants(buddy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    claims=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=TOTAL - 1),
+            st.integers(min_value=1, max_value=200),
+        ),
+        max_size=10,
+    ),
+    op=st.sampled_from(["alloc_range", "free_range"]),
+    start=st.integers(min_value=-64, max_value=TOTAL + 64),
+    npages=st.integers(min_value=1, max_value=300),
+)
+def test_range_operation_applies_whole_or_not_at_all(claims, op, start, npages):
+    """On any allocator state a range operation either succeeds and moves
+    exactly its pages, or raises and leaves the state untouched."""
+    buddy = BuddyAllocator(TOTAL)
+    for cstart, cpages in claims:
+        try:
+            buddy.alloc_range(cstart, min(cpages, TOTAL - cstart))
+        except AllocationError:
+            pass
+    before = allocator_state(buddy)
+    free_before = {f for s, n in buddy.free_regions() for f in range(s, s + n)}
+    try:
+        getattr(buddy, op)(start, npages)
+    except (AllocationError, ValueError):
+        assert allocator_state(buddy) == before
+        return
+    span = set(range(start, start + npages))
+    free_after = {f for s, n in buddy.free_regions() for f in range(s, s + n)}
+    if op == "alloc_range":
+        assert span <= free_before and free_after == free_before - span
+    else:
+        assert not span & free_before and free_after == free_before | span
+    free_space_invariants(buddy)

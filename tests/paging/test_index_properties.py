@@ -290,3 +290,84 @@ def test_owner_counts_match_rmap_recompute(ops):
             assert layer.base_owned_in_region(pregion) == sum(
                 expected.get(pregion, {}).values()
             )
+
+
+def unmap_window_per_page(table, start, end):
+    """The reference: per-page ``unmap_base`` over a window, ascending."""
+    return {
+        vpn: table.unmap_base(vpn)
+        for vpn in range(start, end)
+        if table.translate(vpn) is not None
+    }
+
+
+def table_pair_state(guest, ept, index):
+    return {
+        "guest": (list(guest.base_mappings()), list(guest.populated_regions())),
+        "ept": (list(ept.base_mappings()), list(ept.populated_regions())),
+        "deltas": [
+            (dict(t.region_deltas(r)), t.promotable(r))
+            for t in (guest, ept)
+            for r in range(V_REGIONS)
+        ],
+        "report": index.report(),
+        "live": index.live_set(),
+        "classes": sorted(index._classes),
+        "gen": index.invalidation_gen,
+        "translated": [index.region_translated(r) for r in range(V_REGIONS)],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=EVENTS,
+    layer=st.sampled_from(["guest", "ept"]),
+    pick=st.integers(min_value=0, max_value=V_REGIONS - 1),
+    bounds=st.one_of(
+        st.just((0, PAGES_PER_HUGE)),
+        st.tuples(
+            st.integers(min_value=0, max_value=PAGES_PER_HUGE),
+            st.integers(min_value=0, max_value=PAGES_PER_HUGE),
+        ),
+    ),
+)
+def test_windowed_unmap_equals_per_page_unmaps(events, layer, pick, bounds):
+    """A windowed ``unmap_region_base`` on a populated region returns the
+    window's mappings in ascending order and leaves both tables and the
+    index exactly as per-page ``unmap_base`` calls over the window leave
+    them, a window that empties the region included."""
+    twins = []
+    for _ in range(2):
+        guest, ept = PageTable("guest"), PageTable("ept")
+        index = VMTranslationIndex(guest, ept)
+        for event in events:
+            apply_event(guest, ept, index, *event)
+        for vregion in range(V_REGIONS):
+            index.region_translated(vregion)
+            index.store_classes(vregion, classify_region(guest, ept, vregion))
+        twins.append((guest, ept, index))
+    (guest, ept, index), (ref_guest, ref_ept, ref_index) = twins
+    table, ref_table = (guest, ref_guest) if layer == "guest" else (ept, ref_ept)
+    populated = sorted(table.populated_regions())
+    if not populated:
+        return
+    region = populated[pick % len(populated)]
+    lo, hi = sorted(bounds)
+    start, end = region * PAGES_PER_HUGE + lo, region * PAGES_PER_HUGE + hi
+    removed = table.unmap_region_base(region, start, end)
+    assert removed == unmap_window_per_page(ref_table, start, end)
+    assert list(removed) == sorted(removed)
+    assert table_pair_state(guest, ept, index) == table_pair_state(
+        ref_guest, ref_ept, ref_index
+    )
+
+
+def test_windowed_unmap_refuses_a_window_leaving_the_region():
+    table = PageTable("t")
+    table.map_base_run(PAGES_PER_HUGE, 0, PAGES_PER_HUGE)
+    for start, end in [(PAGES_PER_HUGE - 1, PAGES_PER_HUGE + 4),
+                       (2 * PAGES_PER_HUGE - 4, 2 * PAGES_PER_HUGE + 1),
+                       (PAGES_PER_HUGE + 8, PAGES_PER_HUGE + 4)]:
+        with pytest.raises(MappingError, match="leaves region 1"):
+            table.unmap_region_base(1, start, end)
+    assert table.region_population(1) == PAGES_PER_HUGE

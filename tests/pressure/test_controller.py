@@ -14,6 +14,7 @@ from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.mm import PROCESS
 from repro.policies.base import HugePagePolicy
 from repro.pressure import PressureConfig, PressureController
+from repro.pressure.victims import BACKING_BASE, VictimCandidate
 from repro.tlb import costs
 
 
@@ -252,4 +253,86 @@ def test_pressure_signal_tracks_watermarks():
     assert 0.0 < controller.pressure_signal() < 1.0
     assert controller.pressure_signal() == pytest.approx(
         (0.12 - 0.0625) / (0.12 - 0.04)
+    )
+
+
+def reference_swap_out_region(controller, candidate):
+    """The region evicted one page at a time, in ascending gpn order."""
+    platform, device = controller.platform, controller.device
+    host, vm_id, gpregion = platform.host, candidate.vm_id, candidate.gpregion
+    ept = platform.ept(vm_id)
+    demoted = 0
+    if ept.is_huge(gpregion):
+        host.demote(vm_id, gpregion)
+        demoted = 1
+    vm = platform.vms[vm_id]
+    freed = 0
+    cycles = 0.0
+    for gpn in range(gpregion * PAGES_PER_HUGE, (gpregion + 1) * PAGES_PER_HUGE):
+        hpn = ept.translate(gpn)
+        if hpn is None:
+            continue
+        if device.contains(vm_id, gpn):
+            vm.guest.ledger.charge("swap_in", device.swap_in(vm_id, gpn))
+        ept.unmap_base(gpn)
+        host._drop_rmap(hpn, vm_id, gpn)
+        host.release_frame(hpn)
+        cycles += device.swap_out(vm_id, gpn)
+        freed += 1
+    if freed:
+        host.ledger.charge("swap_out", cycles, count=freed, sync=False)
+    return freed, demoted
+
+
+def swap_twin(refault_huge):
+    """One guest-base VM whose gpa region 3 was backed out of address
+    order, swapped out, and partly faulted back in (pending swap-ins)
+    with new pages beside them."""
+    platform, (vm,) = make_host(guests=(False,), host_huge=refault_huge)
+    controller = PressureController(platform, make_config(swap_jitter=0.3))
+    host, base = platform.host, 3 * PAGES_PER_HUGE
+    for gpn in [*range(base + 400, base + 460), *range(base + 120, base + 10, -1)]:
+        host.fault(vm.id, gpn, full_region=False)
+    candidate = VictimCandidate(
+        vm_id=vm.id, gpregion=3, backing=BACKING_BASE, heat=0.0, hot=False,
+        backed_pages=170,
+    )
+    controller._swap_out_region(candidate)
+    refaults = [base + 430, *range(base + 50, base + 20, -2), base + 300, base + 401]
+    for gpn in refaults:
+        host.fault(vm.id, gpn, full_region=refault_huge)
+    return platform, vm, controller, candidate
+
+
+def swap_state(platform, vm, controller):
+    device = controller.device
+    host = platform.host
+    return {
+        "slots": {vm_id: sorted(slots) for vm_id, slots in device._slots.items()},
+        "traffic": (device.pages_out, device.pages_in),
+        "next_draw": device._rng.random(),
+        "swap_out": (host.ledger.count("swap_out"), host.ledger.cycles("swap_out")),
+        "swap_in": (
+            vm.guest.ledger.count("swap_in"), vm.guest.ledger.cycles("swap_in")
+        ),
+        "host_free": platform.memory.free_regions(),
+        "host_blocks": platform.memory.nodes[0].free_block_counts(),
+        "base": list(platform.ept(vm.id).base_mappings()),
+    }
+
+
+@pytest.mark.parametrize("refault_huge", [False, True])
+def test_swap_out_region_matches_page_by_page_reference(refault_huge):
+    """Evicting a region in one unmap gives the page-by-page eviction's
+    device traffic, latency draws, ledger sums and host allocator state,
+    with pending swap-ins settled on the way out — also when the region
+    was faulted back in as one huge page and must be demoted first."""
+    platform, vm, controller, candidate = swap_twin(refault_huge)
+    ref_platform, ref_vm, ref_controller, _ = swap_twin(refault_huge)
+    assert controller.device.contains(vm.id, 3 * PAGES_PER_HUGE + 430)
+    freed, demoted, _ = controller._swap_out_region(candidate)
+    assert (freed, demoted) == reference_swap_out_region(ref_controller, candidate)
+    assert freed == (PAGES_PER_HUGE if refault_huge else 18)
+    assert swap_state(platform, vm, controller) == swap_state(
+        ref_platform, ref_vm, ref_controller
     )

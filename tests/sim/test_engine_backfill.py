@@ -1,10 +1,19 @@
 """Tests for the engine's host-backfill behaviour after guest migrations."""
 
+from repro.hypervisor.platform import Platform
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.mm import PROCESS
+from repro.policies.base import HugePagePolicy
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, backfill_host
 from repro.workloads.base import AccessPhase, Workload
+
+
+class HostHuge(HugePagePolicy):
+    name = "host-huge"
+
+    def wants_huge_fault(self, client, vregion):
+        return True
 
 
 class OneRegion(Workload):
@@ -56,3 +65,53 @@ def test_backfill_counts_as_host_faults():
     sim.step_epoch(1)
     after = sim.platform.host.ledger.count("base_fault")
     assert after > before  # EPT violations were charged
+
+
+def reference_backfill(platform, vm, vregion):
+    """Backfill of a base-mapped guest region, page by page in the guest
+    table's mapping order."""
+    ept = platform.ept(vm.id)
+    for _, gpn in list(vm.guest.table(PROCESS).region_items(vregion)):
+        if ept.translate(gpn) is None:
+            platform.host.fault(vm.id, gpn, full_region=True)
+
+
+def scrambled_region():
+    """Guest region 2 base-mapped out of address order, onto guest frames
+    whose EPT backing is partial and was itself faulted out of order.  The
+    host policy takes huge faults, so the empty gpa regions 7 and 4
+    backfill as one huge page each."""
+    platform = Platform(64 * PAGES_PER_HUGE, HostHuge())
+    vm = platform.create_vm(16 * PAGES_PER_HUGE, HugePagePolicy())
+    vbase = 2 * PAGES_PER_HUGE
+    gpns = [
+        *range(5 * PAGES_PER_HUGE + 300, 5 * PAGES_PER_HUGE + 340),
+        *range(3 * PAGES_PER_HUGE + 90, 3 * PAGES_PER_HUGE + 10, -1),
+        *range(3 * PAGES_PER_HUGE + 200, 3 * PAGES_PER_HUGE + 260),
+        *range(7 * PAGES_PER_HUGE + 500, 7 * PAGES_PER_HUGE + 505),
+        *range(3 * PAGES_PER_HUGE + 500, 3 * PAGES_PER_HUGE + 530),
+    ]
+    for offset, gpn in enumerate(gpns):
+        assert vm.guest.map_prealloc(PROCESS, vbase + offset, gpn)
+    for gpn in [*range(3 * PAGES_PER_HUGE + 220, 3 * PAGES_PER_HUGE + 200, -1),
+                3 * PAGES_PER_HUGE + 50, 5 * PAGES_PER_HUGE + 320]:
+        platform.host.fault(vm.id, gpn, full_region=False)
+    return platform, vm
+
+
+def test_backfill_of_base_region_matches_per_page_faults_in_mapping_order():
+    """Backfilling a base-mapped region in runs hands each host fault the
+    frames the per-page walk in mapping order hands it: the same EPT
+    mappings, in the same order, and the same host allocator."""
+    platform, vm = scrambled_region()
+    ref_platform, ref_vm = scrambled_region()
+    backfill_host(platform, vm, 2)
+    reference_backfill(ref_platform, ref_vm, 2)
+    ept, ref_ept = platform.ept(vm.id), ref_platform.ept(ref_vm.id)
+    assert list(ept.base_mappings()) == list(ref_ept.base_mappings())
+    assert list(ept.huge_mappings()) == list(ref_ept.huge_mappings()) == [(7, 1), (4, 2)]
+    assert platform.memory.free_regions() == ref_platform.memory.free_regions()
+    assert all(
+        ept.translate(gpn) is not None
+        for _, gpn in vm.guest.table(PROCESS).region_items(2)
+    )
