@@ -1,20 +1,20 @@
 """Hypothesis model check of one MemoryLayer under a random op stream.
 
 The layer runs a random stream of faults, range faults, promotions,
-compactions, demotions, unmaps, frame sharing and client teardowns.
-After every operation it is checked against a small pure model — the
-set of mapped virtual pages plus a ledger of the references ``share``
-adds to frames (a KSM-style sharer outside the page table) — and
-against its own bookkeeping:
+compactions, demotions, unmaps, frame sharing, KSM-style merges and
+client teardowns.  After every operation it is checked against a small
+pure model — the set of mapped virtual pages plus a ledger of the
+references ``share`` and ``ksm`` add to frames — and against its own
+bookkeeping:
 
 * the layer maps exactly the model's pages, and its extra-reference
   counts match the ledger;
 * frames are conserved: free + mapped + held only by a sharer == total,
-  and no frame backs two pages;
-* the page table and the reverse maps (``_rmap_base``/``_rmap_huge``)
-  agree entry for entry;
-* the owner index and the occupancy bitsets the promoter iterates equal
-  the ground truth recomputed from the reverse map.
+  and no frame backs two of the process's pages;
+* the reverse maps, the owner counts, the occupancy bitsets the promoter
+  iterates and the tables' delta summaries equal the recompute from the
+  page tables (``tests.mapping_state``): the process owns its frames,
+  the merged pages of the second client own none.
 
 A compaction must also return what a fresh scan of the region decides,
 whether or not ``compact_region`` answers from the witness it kept for
@@ -29,9 +29,12 @@ from repro.mem.layout import PAGES_PER_HUGE
 from repro.mem.physmem import PhysicalMemory
 from repro.os.mm import OutOfMemory, PROCESS, MemoryLayer
 from repro.policies.base import HugePagePolicy
+from tests.mapping_state import check_deltas, check_reverse_map
 
 REGIONS = 8
 TOTAL = REGIONS * PAGES_PER_HUGE
+#: The client whose pages KSM merges onto the process's frames.
+MERGED = 1
 
 
 def make_layer() -> MemoryLayer:
@@ -64,6 +67,14 @@ class Model:
     def __init__(self) -> None:
         self.mapped: set[int] = set()
         self.sharers: dict[int, int] = {}
+        #: next vpn of the merged client
+        self.merged = 0
+
+
+def owned_frames(layer: MemoryLayer, pregion: int) -> list[int]:
+    """The process's base-mapped frames inside physical region *pregion*."""
+    base, _ = mappings(layer)
+    return sorted(pfn for pfn in base.values() if pfn // PAGES_PER_HUGE == pregion)
 
 
 def apply_op(layer: MemoryLayer, model: Model, op, region, offset, span) -> None:
@@ -121,12 +132,28 @@ def apply_op(layer: MemoryLayer, model: Model, op, region, offset, span) -> None
             layer.unmap_range(PROCESS, vpn, span)
             model.mapped -= set(range(vpn, vpn + span))
         elif op == "share":
-            owned = sorted(
-                pfn for pfn in layer._rmap_base if pfn // PAGES_PER_HUGE == region
-            )
+            owned = owned_frames(layer, region)
             if owned:
                 layer.add_frame_ref(owned[0])
                 model.sharers[owned[0]] = model.sharers.get(owned[0], 0) + 1
+        elif op == "ksm":
+            # KsmDaemon's merge: the second client's fresh page drops its
+            # own frame and maps the process's frame instead, which keeps
+            # its owner.  The merged page is never unmapped, so it holds
+            # the frame like a sharer.
+            owned = owned_frames(layer, region)
+            if owned:
+                shared = owned[0]
+                gpn = model.merged
+                duplicate = layer.fault(MERGED, gpn)
+                model.merged += 1
+                merged = layer.table(MERGED)
+                assert merged.unmap_base(gpn) == duplicate
+                layer._drop_rmap(duplicate, MERGED, gpn)
+                layer.release_frame(duplicate)
+                merged.map_base(gpn, shared)
+                layer.add_frame_ref(shared)
+                model.sharers[shared] = model.sharers.get(shared, 0) + 1
         elif op == "release_client":
             layer.release_client(PROCESS)
             model.mapped.clear()
@@ -150,25 +177,19 @@ def check(layer: MemoryLayer, model: Model) -> None:
     # Frame conservation.
     held = set(model.sharers) - frames
     assert layer.memory.free_pages + len(frames) + len(held) == TOTAL
-    # Page table <-> reverse maps.
-    base, huge = mappings(layer)
-    assert layer._rmap_base == {pfn: (PROCESS, vpn) for vpn, pfn in base.items()}
+    # Page tables <-> reverse maps and summaries.
+    _, huge = mappings(layer)
     assert layer._rmap_huge == {
         pregion: (PROCESS, vregion) for vregion, pregion in huge.items()
     }
-    # Owner index and occupancy bitsets, recomputed from the reverse map.
-    counts: dict[int, dict[tuple[int, int], int]] = {}
-    bits: dict[int, int] = {}
-    for pfn, (client, vpn) in layer._rmap_base.items():
-        pregion = pfn // PAGES_PER_HUGE
-        bucket = counts.setdefault(pregion, {})
-        key = (client, vpn // PAGES_PER_HUGE)
-        bucket[key] = bucket.get(key, 0) + 1
-        bits[pregion] = bits.get(pregion, 0) | 1 << (pfn % PAGES_PER_HUGE)
-    assert layer._owner_counts == counts
+    owner_tables = {PROCESS: layer.table(PROCESS)} if layer.has_client(PROCESS) else {}
+    check_reverse_map(layer, owner_tables)
+    for table in owner_tables.values():
+        check_deltas(table, range(REGIONS))
+    if layer.has_client(MERGED):
+        check_deltas(layer.table(MERGED), range(REGIONS))
     for pregion in range(REGIONS):
         word = layer.rmap_bits(pregion)
-        assert word == bits.get(pregion, 0)
         start = pregion * PAGES_PER_HUGE
         assert list(_iter_set_bits(start, word)) == [
             frame
@@ -190,6 +211,7 @@ OPS = st.lists(
                 "unmap_region",
                 "unmap_partial",
                 "share",
+                "ksm",
                 "release_client",
             ]
         ),

@@ -304,7 +304,7 @@ def test_migration_promotion_without_huge_region_changes_nothing():
         return (
             dict(table.base_mappings()),
             dict(table.huge_mappings()),
-            dict(layer._rmap_base),
+            [layer.owner_of_frame(pfn) for pfn in range(layer.memory.total_pages)],
             layer.rmap_bits(0),
             dict(layer.region_owner_counts(0)),
             {name: (c.count, c.cycles) for name, c in ledger.sync.items()},

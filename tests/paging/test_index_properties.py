@@ -10,10 +10,12 @@ on both tables:
   mapping order;
 * the :class:`VMTranslationIndex` alignment counters, live-region set,
   classification cache and fully-translated set;
-* the :class:`MemoryLayer` per-region owner counts.
+* the :class:`MemoryLayer` reverse map: frame owners, per-region owner
+  counts and occupancy words.
 
-The recompute functions below are the reference scans: they read only a
-table's mappings (``region_items``), never its summaries.
+The recompute functions below and in ``tests.mapping_state`` are the
+reference scans: they read only a table's mappings (``region_items``),
+never its summaries, and compare through the public accessors.
 """
 
 import pytest
@@ -28,6 +30,7 @@ from repro.os.mm import OutOfMemory, PROCESS, MemoryLayer
 from repro.paging.index import VMTranslationIndex
 from repro.paging.pagetable import MappingError, PageTable
 from repro.policies.base import HugePagePolicy
+from tests.mapping_state import check_deltas, check_reverse_map
 
 V_REGIONS = 6    # guest-virtual regions exercised
 GP_REGIONS = 6   # guest-physical regions exercised
@@ -46,16 +49,6 @@ def reference_promotable(table: PageTable, vregion: int) -> int | None:
         if mappings.get(first_vpn + offset) != first_pfn + offset:
             return None
     return first_pfn // PAGES_PER_HUGE
-
-
-def reference_deltas(table: PageTable) -> dict[int, dict[int, int]]:
-    expected: dict[int, dict[int, int]] = {}
-    for region in table.populated_regions():
-        deltas: dict[int, int] = {}
-        for vpn, pfn in table.region_items(region):
-            deltas[pfn - vpn] = deltas.get(pfn - vpn, 0) + 1
-        expected[region] = deltas
-    return expected
 
 
 def reference_majority_region(table: PageTable, vregion: int, miss_fix_limit: int):
@@ -101,8 +94,8 @@ def check_index(
     ept: PageTable,
     index: VMTranslationIndex,
 ) -> None:
-    assert guest._region_delta == reference_deltas(guest)
-    assert ept._region_delta == reference_deltas(ept)
+    check_deltas(guest, range(V_REGIONS))
+    check_deltas(ept, range(V_REGIONS))
     for vregion in range(V_REGIONS):
         assert guest.promotable(vregion) == reference_promotable(guest, vregion)
         assert policy._majority_region(PROCESS, vregion) == (
@@ -255,8 +248,9 @@ def test_index_slot_holds_one_index():
     )
 )
 def test_owner_counts_match_rmap_recompute(ops):
-    """The per-region owner counts equal a recompute from the raw reverse
-    map after arbitrary MemoryLayer traffic."""
+    """The reverse map's owners, per-region owner counts and occupancy
+    words equal a recompute from the page table after arbitrary
+    MemoryLayer traffic."""
     total = 12 * PAGES_PER_HUGE
     layer = MemoryLayer("prop", PhysicalMemory(total), HugePagePolicy())
     layer.enable_owner_index()
@@ -280,16 +274,9 @@ def test_owner_counts_match_rmap_recompute(ops):
                 layer.relocate_page(PROCESS, vpn)
         except OutOfMemory:
             pass
-        expected: dict[int, dict[tuple[int, int], int]] = {}
-        for pfn, (client, owner_vpn) in layer._rmap_base.items():
-            bucket = expected.setdefault(pfn // PAGES_PER_HUGE, {})
-            key = (client, owner_vpn // PAGES_PER_HUGE)
-            bucket[key] = bucket.get(key, 0) + 1
-        assert layer._owner_counts == expected
-        for pregion in range(12):
-            assert layer.base_owned_in_region(pregion) == sum(
-                expected.get(pregion, {}).values()
-            )
+        table = layer.table(PROCESS)
+        check_reverse_map(layer, {PROCESS: table})
+        check_deltas(table, range(12))
 
 
 def unmap_window_per_page(table, start, end):
