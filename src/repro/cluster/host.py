@@ -56,7 +56,12 @@ def resident_runs(vm: VM) -> list[tuple[int, int]]:
         for _, gpregion in table.huge_mappings()
     ]
     start = count = 0
-    for gpn in sorted({gpn for _, gpn in table.base_mappings()}):
+    gpns = {
+        gpn
+        for vregion in table.populated_regions()
+        for _, gpn in table.region_items(vregion)
+    }
+    for gpn in sorted(gpns):
         if count and gpn == start + count:
             count += 1
             continue

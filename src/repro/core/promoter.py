@@ -136,7 +136,8 @@ class GuestPromoter:
 
     def _dominant_owner(self, layer: MemoryLayer, gpregion: int) -> int | None:
         """The guest virtual region owning the most frames of *gpregion*."""
-        # The guest owner index gives each virtual region's frame count.
+        # The reverse map's owner counts give each virtual region's frame
+        # count.
         # A tied maximum falls back to scanning the occupied frames: the
         # tie-break is first-seen frame order, which the counts cannot
         # reproduce; a unique maximum is order-independent.

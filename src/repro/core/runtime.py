@@ -241,7 +241,7 @@ class GeminiRuntime:
             return True
         # Otherwise every allocated frame must be base-owned.  Reverse-map
         # entries only exist for allocated frames, so that is exactly
-        # allocated == base_owned_in_region (the guest owner index).
+        # allocated == base_owned_in_region (the region's occupancy word).
         free = vm.gpa_space.free_pages_in_range(
             gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE
         )

@@ -157,7 +157,7 @@ def _portable_exception(exc: BaseException) -> BaseException:
         clone = RuntimeError(f"unpicklable worker exception: {exc!r}")
     try:
         clone.add_note(note)
-    except Exception:  # pragma: no cover - pre-3.11 or exotic exception
+    except Exception:  # pragma: no cover - its ``__notes__`` is not a list
         pass
     return clone
 

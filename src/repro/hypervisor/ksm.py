@@ -17,6 +17,7 @@ pages off limits unless the host is under real pressure.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from repro import obs
 from repro.mem.layout import PAGES_PER_HUGE
@@ -83,11 +84,7 @@ class KsmDaemon:
             ept = self.platform.ept(vm.id)
             if self.break_huge:
                 self._break_candidate_huge_pages(vm.id)
-            scanned = 0
-            for gpn, hpn in list(ept.base_mappings()):
-                if scanned >= budget:
-                    break
-                scanned += 1
+            for gpn, hpn in list(islice(ept.base_mappings(), budget)):
                 content = self._content_of(vm.id, gpn)
                 if content is None:
                     continue

@@ -95,7 +95,6 @@ class Platform:
         # Gemini's huge bucket keys off this.
         ept = self.host.table(vm.id)
         vm.guest.alignment_probe = ept.is_huge
-        vm.guest.enable_owner_index()
         # The index bootstraps from the tables' current state, so a
         # migrated-in VM's populated guest table is summarised too.
         self.indices[vm.id] = VMTranslationIndex(vm.guest.table(PROCESS), ept)

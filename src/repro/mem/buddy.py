@@ -353,11 +353,19 @@ class BuddyAllocator:
         only on which frames are free, not on the order frames were
         returned — so the batch may sort the frames, merge them into
         contiguous runs and release each run as its maximal aligned
-        blocks, cascading merges from there.
+        blocks, cascading merges from there.  The whole batch is checked
+        first: a frame outside memory, already free or listed twice
+        raises :class:`ValueError` and nothing is freed.
         """
+        self._free_runs(self._checked_runs(frames))
+
+    def _checked_runs(self, frames: list[int]) -> list[tuple[int, int]]:
+        """*frames* as ascending runs ``(start, npages)``, after checking
+        that each lies in memory, is allocated and is listed once."""
         if not frames:
-            return
+            return []
         ordered = sorted(frames)
+        runs = []
         run_start = prev = ordered[0]
         for frame in ordered[1:]:
             if frame == prev + 1:
@@ -365,9 +373,22 @@ class BuddyAllocator:
                 continue
             if frame == prev:
                 raise ValueError(f"double free of block ({frame}, order 0)")
-            self.free_range(run_start, prev - run_start + 1)
+            runs.append((run_start, prev - run_start + 1))
             run_start = prev = frame
-        self.free_range(run_start, prev - run_start + 1)
+        runs.append((run_start, prev - run_start + 1))
+        for start, npages in runs:
+            self._check_allocated(start, npages)
+        return runs
+
+    def _free_runs(self, runs: list[tuple[int, int]]) -> None:
+        """Release checked, disjoint runs: each maximal aligned block
+        merges into the free lists, and the page count and interval index
+        take each run in one update."""
+        for start, npages in runs:
+            for block, order in _decompose(start, npages):
+                self._merge_in(block, order)
+            self.free_pages += npages
+            self._regions.add(start, start + npages)
 
     def free(self, start: int, order: int = 0) -> None:
         """Return block (start, order) to the allocator, merging buddies."""
@@ -424,10 +445,7 @@ class BuddyAllocator:
         if npages == 0:
             return
         self._check_allocated(start, npages)
-        for block, order in _decompose(start, npages):
-            self._merge_in(block, order)
-        self.free_pages += npages
-        self._regions.add(start, start + npages)
+        self._free_runs([(start, npages)])
 
     # ------------------------------------------------------------------
     # Queries

@@ -80,21 +80,21 @@ class PhysicalMemory:
 
     def free_frames(self, frames: list[int]) -> None:
         """Batch equivalent of ``for f in frames: self.free(f, 0)``;
-        frames may belong to any mix of nodes."""
+        frames may belong to any mix of nodes.  Every node's share is
+        checked before any is freed, so a refused batch frees nothing."""
         if not frames:
             return
-        ordered = sorted(frames)
-        node = self.node_of(ordered[0])
-        node_end = node.base + node.total_pages
-        batch: list[int] = []
-        for frame in ordered:
-            if frame >= node_end:
-                node.free_frames(batch)
-                batch = []
+        batches: list[tuple[BuddyAllocator, list[int]]] = []
+        node_end = None
+        for frame in sorted(frames):
+            if node_end is None or frame >= node_end:
                 node = self.node_of(frame)
                 node_end = node.base + node.total_pages
-            batch.append(frame)
-        node.free_frames(batch)
+                batches.append((node, []))
+            batches[-1][1].append(frame)
+        checked = [(node, node._checked_runs(batch)) for node, batch in batches]
+        for node, runs in checked:
+            node._free_runs(runs)
 
     def free(self, start: int, order: int = 0) -> None:
         self.node_of(start).free(start, order)

@@ -18,7 +18,21 @@ and unmapping — and charges every action to a :class:`CostLedger`.
 
 A reverse map (frame -> mapping) is maintained so policies and the
 misaligned-huge-page scanner can attribute physical regions to their users,
-mirroring the kernel's rmap.
+mirroring the kernel's rmap.  Huge mappings have one entry per physical
+region.  Base mappings are kept as one record per physical 2 MiB region
+(:class:`_FrameRegion`), never per frame:
+
+* **512 owner slots** — each frame's owner as the key ``(client, vpn -
+  pfn)``, which every frame of a mapped run shares, or None.  Mapping a
+  run and demoting a region are slice writes;
+* **the occupancy word** — bit ``pfn - pregion * 512`` set iff the frame
+  has an owner, which promoter scans walk instead of probing 512 frames;
+* **the owner counts** ``{(client, vregion): frames}``, which give
+  Gemini's promoters a region's dominant owner without a scan.
+
+A KSM-shared frame keeps the owner it had when other pages were merged
+into it.  In-place promotion maps exactly one physical region's frames,
+so it drops that region's record whole.
 """
 
 from __future__ import annotations
@@ -42,6 +56,21 @@ PROCESS = 0
 
 #: Shared empty owner bucket for regions with no base-mapped frames.
 _EMPTY_COUNTS: dict[tuple[int, int], int] = {}
+
+
+class _FrameRegion:
+    """The base reverse map of one physical region."""
+
+    __slots__ = ("owners", "bits", "counts")
+
+    def __init__(self) -> None:
+        #: per frame offset: the owning run's ``(client, vpn - pfn)``, or
+        #: None
+        self.owners: list[tuple[int, int] | None] = [None] * PAGES_PER_HUGE
+        #: bit ``pfn - pregion * 512`` set iff the frame has an owner
+        self.bits = 0
+        #: ``{(client, vregion): frames owned}``
+        self.counts: dict[tuple[int, int], int] = {}
 
 
 class OutOfMemory(Exception):
@@ -85,18 +114,9 @@ class MemoryLayer:
         #: layers; tried only after the policy's own reclaim fails.
         self.reclaimer: Callable[[int], int] | None = None
         self._tables: dict[int, PageTable] = {}
-        #: reverse map for base mappings: pfn -> (client, vpn)
-        self._rmap_base: dict[int, tuple[int, int]] = {}
-        #: per-region occupancy bitsets, maintained with the owner index:
-        #: physical region -> 512-bit int, bit ``pfn - region * 512`` set
-        #: iff *pfn* has a base reverse-map entry.  Promoter scans walk
-        #: set bits instead of probing all 512 frames.
-        self._rmap_bits: dict[int, int] = {}
-        #: optional incremental owner summary: physical region ->
-        #: {(client, vregion): frames owned}; None when disabled.  Lets
-        #: Gemini's promoters find a region's dominant owner without 512
-        #: rmap probes.
-        self._owner_counts: dict[int, dict[tuple[int, int], int]] | None = None
+        #: reverse map for base mappings: physical region -> its record
+        #: (regions with at least one owned frame)
+        self._rmap: dict[int, _FrameRegion] = {}
         #: reverse map for huge mappings: pregion -> (client, vregion)
         self._rmap_huge: dict[int, tuple[int, int]] = {}
         #: zero-filled bloat introduced by promoting partially-populated
@@ -131,7 +151,12 @@ class MemoryLayer:
 
     def owner_of_frame(self, pfn: int) -> tuple[int, int] | None:
         """(client, vpn) base-mapping the frame, if any."""
-        return self._rmap_base.get(pfn)
+        pregion = pfn // PAGES_PER_HUGE
+        rec = self._rmap.get(pregion)
+        if rec is None:
+            return None
+        key = rec.owners[pfn - pregion * PAGES_PER_HUGE]
+        return None if key is None else (key[0], pfn + key[1])
 
     def owner_of_region(self, pregion: int) -> tuple[int, int] | None:
         """(client, vregion) huge-mapping the physical region, if any."""
@@ -169,150 +194,117 @@ class MemoryLayer:
         else:
             self.memory.free_frames(list(pfns))
 
-    def enable_owner_index(self) -> None:
-        """Turn on incremental per-region owner counts (idempotent);
-        bootstraps from the current reverse map."""
-        if self._owner_counts is not None:
-            return
-        counts: dict[int, dict[tuple[int, int], int]] = {}
-        bits: dict[int, int] = {}
-        for pfn, (client, vpn) in self._rmap_base.items():
-            key = (client, vpn // PAGES_PER_HUGE)
-            pregion = pfn // PAGES_PER_HUGE
-            bucket = counts.setdefault(pregion, {})
-            bucket[key] = bucket.get(key, 0) + 1
-            bits[pregion] = bits.get(pregion, 0) | (
-                1 << (pfn - pregion * PAGES_PER_HUGE)
-            )
-        self._owner_counts = counts
-        self._rmap_bits = bits
+    def rmap_bits(self, pregion: int) -> int:
+        """512-bit occupancy word of *pregion*: bit set iff the frame has a
+        base reverse-map entry."""
+        rec = self._rmap.get(pregion)
+        return 0 if rec is None else rec.bits
 
-    def rmap_bits(self, pregion: int) -> int | None:
-        """512-bit occupancy word of *pregion* (bit set iff the frame has
-        a base reverse-map entry); None when the owner index is off."""
-        if self._owner_counts is None:
-            return None
-        return self._rmap_bits.get(pregion, 0)
-
-    def region_owner_counts(self, pregion: int) -> dict[tuple[int, int], int] | None:
+    def region_owner_counts(self, pregion: int) -> dict[tuple[int, int], int]:
         """Read-only ``{(client, vregion): frames}`` owner summary of
-        physical region *pregion*; None when the index is disabled."""
-        if self._owner_counts is None:
-            return None
-        return self._owner_counts.get(pregion, _EMPTY_COUNTS)
+        physical region *pregion*."""
+        rec = self._rmap.get(pregion)
+        return _EMPTY_COUNTS if rec is None else rec.counts
 
     def base_owned_in_region(self, pregion: int) -> int:
-        """Frames of *pregion* with a base reverse-map entry (requires the
-        owner index)."""
-        assert self._owner_counts is not None
-        bucket = self._owner_counts.get(pregion)
-        return sum(bucket.values()) if bucket else 0
+        """Frames of *pregion* with a base reverse-map entry."""
+        rec = self._rmap.get(pregion)
+        return 0 if rec is None else sum(rec.counts.values())
 
     def _set_rmap(self, pfn: int, client: int, vpn: int) -> None:
-        self._rmap_base[pfn] = (client, vpn)
-        counts = self._owner_counts
-        if counts is not None:
-            key = (client, vpn // PAGES_PER_HUGE)
-            pregion = pfn // PAGES_PER_HUGE
-            bucket = counts.setdefault(pregion, {})
-            bucket[key] = bucket.get(key, 0) + 1
-            bits = self._rmap_bits
-            bits[pregion] = bits.get(pregion, 0) | (
-                1 << (pfn - pregion * PAGES_PER_HUGE)
-            )
+        self._set_rmap_run(pfn, client, vpn, 1)
 
     def _set_rmap_run(self, pfn: int, client: int, vpn: int, count: int) -> None:
-        """Batch of :meth:`_set_rmap` over the contiguous, same-virtual-
-        region run ``pfn + i <- (client, vpn + i)``."""
-        self._rmap_base.update(
-            zip(
-                range(pfn, pfn + count),
-                ((client, v) for v in range(vpn, vpn + count)),
-            )
-        )
-        counts = self._owner_counts
-        if counts is None:
-            return
-        key = (client, vpn // PAGES_PER_HUGE)
-        bits = self._rmap_bits
+        """Make ``(client, vpn + i)`` the owner of frame ``pfn + i`` for
+        the contiguous, same-virtual-region run: one slice write per
+        physical region."""
+        key = (client, vpn - pfn)
+        owner = (client, vpn // PAGES_PER_HUGE)
+        rmap = self._rmap
         pos = pfn
         end = pfn + count
         while pos < end:
             pregion = pos // PAGES_PER_HUGE
-            chunk = min(end, (pregion + 1) * PAGES_PER_HUGE) - pos
-            bucket = counts.setdefault(pregion, {})
-            bucket[key] = bucket.get(key, 0) + chunk
-            bits[pregion] = bits.get(pregion, 0) | (
-                ((1 << chunk) - 1) << (pos - pregion * PAGES_PER_HUGE)
-            )
-            pos += chunk
-
-    def _del_rmap(self, pfn: int) -> None:
-        client, vpn = self._rmap_base.pop(pfn)
-        counts = self._owner_counts
-        if counts is not None:
-            pregion = pfn // PAGES_PER_HUGE
-            bucket = counts[pregion]
-            key = (client, vpn // PAGES_PER_HUGE)
-            remaining = bucket[key] - 1
-            if remaining:
-                bucket[key] = remaining
-            else:
-                del bucket[key]
-                if not bucket:
-                    del counts[pregion]
-            bits = self._rmap_bits
-            word = bits[pregion] & ~(1 << (pfn - pregion * PAGES_PER_HUGE))
-            if word:
-                bits[pregion] = word
-            else:
-                del bits[pregion]
+            first = pregion * PAGES_PER_HUGE
+            lo = pos - first
+            hi = min(end, first + PAGES_PER_HUGE) - first
+            rec = rmap.get(pregion)
+            if rec is None:
+                rec = rmap[pregion] = _FrameRegion()
+            rec.owners[lo:hi] = [key] * (hi - lo)
+            rec.bits |= ((1 << (hi - lo)) - 1) << lo
+            counts = rec.counts
+            counts[owner] = counts.get(owner, 0) + hi - lo
+            pos = first + hi
 
     def _drop_rmap_region(
         self, client: int, vregion: int, mappings: dict[int, int]
     ) -> None:
-        """Batch of :meth:`_drop_rmap` over one virtual region's base
-        mappings, with the owner-summary updates aggregated per physical
-        region."""
-        rmap = self._rmap_base
-        counts = self._owner_counts
-        if counts is None:
-            for vpn, pfn in mappings.items():
-                if rmap.get(pfn) == (client, vpn):
-                    del rmap[pfn]
-            return
-        key = (client, vregion)
-        dropped: dict[int, list[int]] = {}
+        """Remove the reverse-map entries that name one of *mappings*
+        (base mappings of ``(client, vregion)``; shared frames keep their
+        original owner's entry).  Each run of consecutive pages on
+        consecutive frames is compared and cleared as a slice, and each
+        physical region's word and counts are updated once."""
+        cleared: dict[int, int] = {}
+        run_vpn = run_pfn = length = 0
         for vpn, pfn in mappings.items():
-            if rmap.get(pfn) != (client, vpn):
+            if length and vpn == run_vpn + length and pfn == run_pfn + length:
+                length += 1
                 continue
-            del rmap[pfn]
-            dropped.setdefault(pfn // PAGES_PER_HUGE, []).append(pfn)
-        bits = self._rmap_bits
-        for pregion, pfns in dropped.items():
-            bucket = counts[pregion]
-            remaining = bucket[key] - len(pfns)
-            if remaining:
-                bucket[key] = remaining
+            if length:
+                self._clear_run(client, run_vpn, run_pfn, length, cleared)
+            run_vpn, run_pfn, length = vpn, pfn, 1
+        if length:
+            self._clear_run(client, run_vpn, run_pfn, length, cleared)
+        owner = (client, vregion)
+        rmap = self._rmap
+        for pregion, word in cleared.items():
+            rec = rmap[pregion]
+            left = rec.counts[owner] - word.bit_count()
+            if left:
+                rec.counts[owner] = left
             else:
-                del bucket[key]
-                if not bucket:
-                    del counts[pregion]
-            mask = 0
-            base = pregion * PAGES_PER_HUGE
-            for pfn in pfns:
-                mask |= 1 << (pfn - base)
-            word = bits[pregion] & ~mask
+                del rec.counts[owner]
+            rec.bits ^= word
+            if not rec.bits:
+                del rmap[pregion]
+
+    def _clear_run(
+        self, client: int, vpn: int, pfn: int, count: int, cleared: dict[int, int]
+    ) -> None:
+        """Clear the owner slots of frames ``pfn + i`` that name ``(client,
+        vpn + i)``, adding the cleared bits to each physical region's
+        word in *cleared*."""
+        key = (client, vpn - pfn)
+        rmap = self._rmap
+        pos = pfn
+        end = pfn + count
+        while pos < end:
+            pregion = pos // PAGES_PER_HUGE
+            first = pregion * PAGES_PER_HUGE
+            lo = pos - first
+            hi = min(end, first + PAGES_PER_HUGE) - first
+            pos = first + hi
+            rec = rmap.get(pregion)
+            if rec is None:
+                continue
+            owners = rec.owners
+            if owners[lo:hi] == [key] * (hi - lo):
+                owners[lo:hi] = [None] * (hi - lo)
+                word = ((1 << (hi - lo)) - 1) << lo
+            else:
+                word = 0
+                for offset in range(lo, hi):
+                    if owners[offset] == key:
+                        owners[offset] = None
+                        word |= 1 << offset
             if word:
-                bits[pregion] = word
-            else:
-                del bits[pregion]
+                cleared[pregion] = cleared.get(pregion, 0) | word
 
     def _drop_rmap(self, pfn: int, client: int, vpn: int) -> None:
         """Remove the reverse-map entry if it names this mapping (shared
         frames keep their original owner's entry)."""
-        if self._rmap_base.get(pfn) == (client, vpn):
-            self._del_rmap(pfn)
+        self._drop_rmap_region(client, vpn // PAGES_PER_HUGE, {vpn: pfn})
 
     def is_region_eligible(self, client: int, vregion: int) -> bool:
         """May (client, vregion) be covered by one huge mapping?"""
@@ -525,8 +517,9 @@ class MemoryLayer:
         pregion = table.promotable(vregion)
         if pregion is None:
             return False
-        for vpn, pfn in table.region_items(vregion):
-            self._del_rmap(pfn)
+        # The region maps exactly the frames of *pregion*: every base
+        # entry there goes, shared frames' included.
+        self._rmap.pop(pregion, None)
         table.promote_in_place(vregion)
         self._rmap_huge[pregion] = (client, vregion)
         self.ledger.charge("inplace_promotion", costs.INPLACE_PROMOTION_CYCLES)
@@ -806,19 +799,22 @@ class MemoryLayer:
             self.memory.free_range(pregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
             freed += PAGES_PER_HUGE
         # The table is being discarded and nothing observes its events, so
-        # per-page unmaps would be pure bookkeeping on dead state; only the
-        # rmap drops, the refcount releases, and the buddy frees are
-        # observable.  Buddy coalescing is order-independent, so the batch
-        # free lands on the same allocator state.
+        # unmaps would be pure bookkeeping on dead state; only the rmap
+        # drops, the refcount releases, and the buddy frees are
+        # observable.  None depends on the order pages are visited (buddy
+        # coalescing is order-independent), so regions go one by one and
+        # the frames in one batch.
         refs = self._frame_refs
         direct: list[int] = []
-        for vpn, pfn in table.base_mappings():
-            self._drop_rmap(pfn, client, vpn)
-            if pfn in refs:
-                self.release_frame(pfn)
-            else:
-                freed += 1
-                direct.append(pfn)
+        for vregion in table.populated_regions():
+            mappings = table.region_mappings(vregion)
+            self._drop_rmap_region(client, vregion, mappings)
+            for pfn in mappings.values():
+                if pfn in refs:
+                    self.release_frame(pfn)
+                else:
+                    freed += 1
+                    direct.append(pfn)
         self.memory.free_frames(direct)
         # Let the policy forget any per-client placement state (offset
         # descriptors, contiguity lists); the huge range covers every vpn.

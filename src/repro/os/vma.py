@@ -9,6 +9,7 @@ Gemini's EMA additionally aligns the *physical* side to these boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -64,6 +65,10 @@ class AddressSpace:
     def __init__(self, base: int = PAGES_PER_HUGE) -> None:
         self._next = base
         self._vmas: dict[str, VMA] = {}
+        #: the VMAs' starts in ascending order, and the VMAs in that order:
+        #: VMAs are disjoint, so :meth:`find` bisects
+        self._starts: list[int] = []
+        self._by_start: list[VMA] = []
 
     def mmap(self, npages: int, name: str, huge_aligned: bool = True) -> VMA:
         """Create a new VMA of *npages* pages named *name*.
@@ -77,6 +82,9 @@ class AddressSpace:
         start = huge_align_up(self._next) if huge_aligned else self._next
         vma = VMA(start=start, npages=npages, name=name)
         self._vmas[name] = vma
+        at = bisect_right(self._starts, start)
+        self._starts.insert(at, start)
+        self._by_start.insert(at, vma)
         self._next = huge_align_up(vma.end) + PAGES_PER_HUGE
         return vma
 
@@ -84,15 +92,21 @@ class AddressSpace:
         """Remove and return the VMA named *name*."""
         if name not in self._vmas:
             raise KeyError(f"no such VMA: {name}")
-        return self._vmas.pop(name)
+        vma = self._vmas.pop(name)
+        at = bisect_right(self._starts, vma.start) - 1
+        del self._starts[at]
+        del self._by_start[at]
+        return vma
 
     def vma(self, name: str) -> VMA:
         return self._vmas[name]
 
     def find(self, vpn: int) -> VMA | None:
         """The VMA containing *vpn*, if any."""
-        for vma in self._vmas.values():
-            if vpn in vma:
+        at = bisect_right(self._starts, vpn) - 1
+        if at >= 0:
+            vma = self._by_start[at]
+            if vpn < vma.end:
                 return vma
         return None
 

@@ -97,9 +97,11 @@ class VMTranslationIndex:
             self.host_huge += 1
             if gpregion in self._targets:
                 self.aligned_host += 1
-        for _, gpn in self.guest.base_mappings():
-            gpregion = gpn // PAGES_PER_HUGE
-            self._live_base[gpregion] = self._live_base.get(gpregion, 0) + 1
+        guest = self.guest
+        for vregion in guest.populated_regions():
+            for _, gpn in guest.region_items(vregion):
+                gpregion = gpn // PAGES_PER_HUGE
+                self._live_base[gpregion] = self._live_base.get(gpregion, 0) + 1
 
     # ------------------------------------------------------------------
     # Read API

@@ -21,37 +21,90 @@ and demotion primitives page-coalescing policies are built on:
 * :meth:`PageTable.demote` splinters a huge mapping back into 512 base
   mappings (used on partial unmap and under memory pressure).
 
-Every table also keeps the state the incremental translation index needs:
+State is kept per 2 MiB virtual region, never per page.  Huge mappings
+are one dict from virtual to physical region.  Each virtual region with
+at least one base mapping has one record (:class:`_Region`):
 
-* **per-region summaries** — each region's multiset of placement deltas
-  (``pfn - vpn``), maintained alongside the mappings.  A region is
-  in-place promotable exactly when it holds 512 mappings of one
-  huge-aligned delta, which makes :meth:`PageTable.promotable` O(1) and
-  lets policy scans reject regions without walking their entries.
-* **one index slot** — :attr:`PageTable.index` holds the
-  :class:`~repro.paging.index.VMTranslationIndex` watching the table, if
-  any, and every mapping change is delivered to it.  Promotion, demotion
-  and remapping arrive as single composite events (not as 512 base
-  events), so the index stays O(1) per operation.
+* **512 slots** — the delta ``pfn - vpn`` of the page at each offset, or
+  None where nothing is mapped.  A run mapped in one call stores one
+  shared int, so mapping a run is a slice write;
+* **a 512-bit mapped mask** and **the population**, so unmapped runs,
+  windows and emptiness are mask arithmetic;
+* **the delta multiset** ``{pfn - vpn: pages}``.  A region is in-place
+  promotable exactly when it holds 512 mappings of one huge-aligned
+  delta, which makes :meth:`PageTable.promotable` O(1) and lets policy
+  scans reject regions without walking their slots.  Promotion deletes
+  the record and demotion creates a full one;
+* **512 sequence numbers** — the number of the call that mapped each
+  page (a run shares one).  The table numbers its mapping calls, so
+  ``(sequence, vpn)`` orders every base mapping exactly as a dict in
+  insertion order would.  A record whose pages were mapped in ascending
+  vpn order (the common case) is read in slot order; any other caches
+  its mapping order until its next map or unmap.
+
+Results depend on these orders, so each is kept exactly:
+:meth:`PageTable.base_mappings` yields in mapping order (KSM's scan
+budget covers its first mappings), :meth:`PageTable.region_items` in
+mapping order within the region (host backfill and the majority-region
+tie-break), and :meth:`PageTable.populated_regions` and
+:meth:`PageTable.huge_mappings` in the order each region entered its
+dict (policy scans and KSM's huge-page breaking).
+
+:attr:`PageTable.index` holds the
+:class:`~repro.paging.index.VMTranslationIndex` watching the table, if
+any, and every mapping change is delivered to it.  Promotion, demotion
+and remapping arrive as single composite events (not as 512 base
+events), so the index stays O(1) per operation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import merge
+from itertools import compress, repeat
+from operator import add, is_not, ne
 from typing import TYPE_CHECKING, Iterator
 
-from repro.mem.layout import PAGES_PER_HUGE, huge_region_index
+from repro.mem.layout import PAGES_PER_HUGE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.paging.index import VMTranslationIndex
 
 __all__ = ["MappingError", "PageTable"]
 
-#: Shared empty bucket backing ``region_items`` of unpopulated regions.
-_EMPTY_REGION: dict[int, int] = {}
+#: Mapped mask of a fully populated region.
+_FULL = (1 << PAGES_PER_HUGE) - 1
+#: Endless None stream: ``map(is_not, slots, _NONES)`` flags mapped slots.
+_NONES = repeat(None)
+#: Shared empty summary of unpopulated regions.
+_EMPTY_DELTAS: dict[int, int] = {}
 
 
 class MappingError(Exception):
     """Raised on conflicting or missing mappings."""
+
+
+class _Region:
+    """The base mappings of one virtual region."""
+
+    __slots__ = ("slots", "seqs", "mask", "population", "deltas", "ordered", "order")
+
+    def __init__(self) -> None:
+        #: per offset: ``pfn - vpn`` of the mapped page, or None
+        self.slots: list[int | None] = [None] * PAGES_PER_HUGE
+        #: per offset: the mapping call's sequence number (stale where
+        #: unmapped)
+        self.seqs: list[int | None] = [None] * PAGES_PER_HUGE
+        #: bit ``i`` set iff offset ``i`` is mapped
+        self.mask = 0
+        self.population = 0
+        #: ``{pfn - vpn: pages}``; a delta enters when its first page is
+        #: mapped and leaves with its last
+        self.deltas: dict[int, int] = {}
+        #: True while mapping order is ascending vpn order
+        self.ordered = True
+        #: mapped offsets in mapping order, cached while not ``ordered``
+        self.order: list[int] | None = None
 
 
 class PageTable:
@@ -59,18 +112,72 @@ class PageTable:
 
     def __init__(self, name: str = "pt") -> None:
         self.name = name
-        #: base-page mappings: vpn -> pfn
-        self._base: dict[int, int] = {}
         #: huge-page mappings: virtual region index -> physical region index
         self._huge: dict[int, int] = {}
-        #: base mappings bucketed by virtual region, for O(1) region queries:
-        #: region index -> {vpn -> pfn}
-        self._region_base: dict[int, dict[int, int]] = {}
-        #: per-region placement-delta multiset: region -> {pfn - vpn: count}
-        self._region_delta: dict[int, dict[int, int]] = {}
+        #: base mappings: virtual region index -> its record, for regions
+        #: with at least one base mapping, in the order they gained it
+        self._regions: dict[int, _Region] = {}
+        #: sequence number of the next mapping call
+        self._seq = 0
+        self._base_count = 0
         #: the translation index observing this table's mutations; set by
         #: the index itself, cleared when its VM detaches
         self.index: VMTranslationIndex | None = None
+
+    # ------------------------------------------------------------------
+    # Record access
+    # ------------------------------------------------------------------
+
+    def _write(self, rec: _Region, offset: int, delta: int, npages: int) -> None:
+        """Map the unmapped slots ``[offset, offset + npages)`` of *rec*
+        at *delta* as one mapping call."""
+        seq = self._seq
+        self._seq = seq + 1
+        end = offset + npages
+        rec.slots[offset:end] = [delta] * npages
+        rec.seqs[offset:end] = [seq] * npages
+        if rec.mask >> offset:
+            # A page above the run is mapped: slot order no longer is
+            # mapping order.
+            rec.ordered = False
+        rec.mask |= ((1 << npages) - 1) << offset
+        rec.population += npages
+        rec.order = None
+        deltas = rec.deltas
+        deltas[delta] = deltas.get(delta, 0) + npages
+        self._base_count += npages
+
+    def _columns(self, vregion: int, rec: _Region):
+        """*rec*'s mappings in mapping order, as ``(vpns, deltas, seqs)``:
+        a sequence of vpns and two iterables aligned with it."""
+        first = vregion * PAGES_PER_HUGE
+        slots, seqs = rec.slots, rec.seqs
+        if rec.ordered:
+            if rec.mask == _FULL:
+                return range(first, first + PAGES_PER_HUGE), slots, seqs
+            mapped = list(map(is_not, slots, _NONES))
+            return (
+                list(compress(range(first, first + PAGES_PER_HUGE), mapped)),
+                compress(slots, mapped),
+                compress(seqs, mapped),
+            )
+        order = rec.order
+        if order is None:
+            # A stable sort: a run's pages share a number and stay in
+            # vpn order.
+            order = list(compress(range(PAGES_PER_HUGE), map(is_not, slots, _NONES)))
+            order.sort(key=seqs.__getitem__)
+            rec.order = order
+        return (
+            list(map(first.__add__, order)),
+            map(slots.__getitem__, order),
+            map(seqs.__getitem__, order),
+        )
+
+    def _items(self, vregion: int, rec: _Region):
+        """*rec*'s ``(vpn, pfn)`` pairs in mapping order (an iterator)."""
+        vpns, deltas, _ = self._columns(vregion, rec)
+        return zip(vpns, map(add, vpns, deltas))
 
     # ------------------------------------------------------------------
     # Mapping / unmapping
@@ -78,18 +185,18 @@ class PageTable:
 
     def map_base(self, vpn: int, pfn: int) -> None:
         """Install a 4 KiB mapping vpn -> pfn."""
-        region = huge_region_index(vpn)
+        region = vpn // PAGES_PER_HUGE
         if region in self._huge:
             raise MappingError(
                 f"{self.name}: vpn {vpn} already covered by huge mapping"
             )
-        if vpn in self._base:
+        offset = vpn - region * PAGES_PER_HUGE
+        rec = self._regions.get(region)
+        if rec is None:
+            rec = self._regions[region] = _Region()
+        elif rec.slots[offset] is not None:
             raise MappingError(f"{self.name}: vpn {vpn} already mapped")
-        self._base[vpn] = pfn
-        self._region_base.setdefault(region, {})[vpn] = pfn
-        deltas = self._region_delta.setdefault(region, {})
-        d = pfn - vpn
-        deltas[d] = deltas.get(d, 0) + 1
+        self._write(rec, offset, pfn - vpn, 1)
         if self.index is not None:
             self.index.base_mapped(self, vpn, pfn)
 
@@ -100,8 +207,8 @@ class PageTable:
         stays inside a single virtual region: same mappings, same delta
         summary, one composite index event instead of *count*.
         """
-        region = huge_region_index(vpn)
-        if huge_region_index(vpn + count - 1) != region:
+        region = vpn // PAGES_PER_HUGE
+        if (vpn + count - 1) // PAGES_PER_HUGE != region:
             raise MappingError(
                 f"{self.name}: run [{vpn}, {vpn + count}) crosses a region"
             )
@@ -109,18 +216,16 @@ class PageTable:
             raise MappingError(
                 f"{self.name}: vpn {vpn} already covered by huge mapping"
             )
-        bucket = self._region_base.setdefault(region, {})
-        if bucket:
-            for v in range(vpn, vpn + count):
-                if v in bucket:
-                    raise MappingError(f"{self.name}: vpn {v} already mapped")
-        base = self._base
-        for i in range(count):
-            base[vpn + i] = pfn + i
-            bucket[vpn + i] = pfn + i
-        deltas = self._region_delta.setdefault(region, {})
-        d = pfn - vpn
-        deltas[d] = deltas.get(d, 0) + count
+        offset = vpn - region * PAGES_PER_HUGE
+        rec = self._regions.get(region)
+        if rec is None:
+            rec = self._regions[region] = _Region()
+        else:
+            clash = rec.mask >> offset & ((1 << count) - 1)
+            if clash:
+                first = vpn + (clash & -clash).bit_length() - 1
+                raise MappingError(f"{self.name}: vpn {first} already mapped")
+        self._write(rec, offset, pfn - vpn, count)
         if self.index is not None:
             self.index.base_mapped_run(self, vpn, pfn, count)
 
@@ -139,16 +244,14 @@ class PageTable:
         """
         if start is not None:
             return self._unmap_window(vregion, start, end)
-        bucket = self._region_base.pop(vregion, None)
-        if bucket is None:
+        rec = self._regions.pop(vregion, None)
+        if rec is None:
             return {}
-        base = self._base
-        for vpn in bucket:
-            del base[vpn]
-        del self._region_delta[vregion]
+        removed = dict(self._items(vregion, rec))
+        self._base_count -= rec.population
         if self.index is not None:
-            self.index.region_base_cleared(self, vregion, bucket)
-        return bucket
+            self.index.region_base_cleared(self, vregion, removed)
+        return removed
 
     def _unmap_window(self, vregion: int, start: int, end: int) -> dict[int, int]:
         first = vregion * PAGES_PER_HUGE
@@ -156,32 +259,33 @@ class PageTable:
             raise MappingError(
                 f"{self.name}: window [{start}, {end}) leaves region {vregion}"
             )
-        bucket = self._region_base.get(vregion)
-        if not bucket:
+        rec = self._regions.get(vregion)
+        lo, hi = start - first, end - first
+        window = 0 if rec is None else rec.mask >> lo & ((1 << (hi - lo)) - 1)
+        if not window:
             return {}
-        if len(bucket) < end - start:
-            vpns = sorted(v for v in bucket if start <= v < end)
+        slots = rec.slots
+        dropped = slots[lo:hi]
+        mapped = list(map(is_not, dropped, _NONES))
+        vpns = list(compress(range(start, end), mapped))
+        gone = list(compress(dropped, mapped))
+        removed = dict(zip(vpns, map(add, vpns, gone)))
+        slots[lo:hi] = [None] * (hi - lo)
+        rec.mask ^= window << lo
+        rec.population -= len(vpns)
+        rec.order = None
+        self._base_count -= len(vpns)
+        if rec.population:
+            deltas = rec.deltas
+            for delta, pages in Counter(gone).items():
+                left = deltas[delta] - pages
+                if left:
+                    deltas[delta] = left
+                else:
+                    del deltas[delta]
         else:
-            vpns = range(start, end)
-        base = self._base
-        deltas = self._region_delta[vregion]
-        removed: dict[int, int] = {}
-        for vpn in vpns:
-            pfn = bucket.pop(vpn, None)
-            if pfn is None:
-                continue
-            del base[vpn]
-            removed[vpn] = pfn
-            d = pfn - vpn
-            count = deltas[d] - 1
-            if count:
-                deltas[d] = count
-            else:
-                del deltas[d]
-        if not bucket:
-            del self._region_base[vregion]
-            del self._region_delta[vregion]
-        if removed and self.index is not None:
+            del self._regions[vregion]
+        if self.index is not None:
             self.index.region_base_cleared(self, vregion, removed)
         return removed
 
@@ -189,7 +293,7 @@ class PageTable:
         """Install a 2 MiB mapping of virtual region -> physical region."""
         if vregion in self._huge:
             raise MappingError(f"{self.name}: region {vregion} already huge-mapped")
-        if self._region_base.get(vregion):
+        if vregion in self._regions:
             raise MappingError(
                 f"{self.name}: region {vregion} has base mappings; "
                 "unmap or promote them first"
@@ -200,23 +304,27 @@ class PageTable:
 
     def unmap_base(self, vpn: int) -> int:
         """Remove a 4 KiB mapping; return the PFN it pointed at."""
-        if vpn not in self._base:
+        region = vpn // PAGES_PER_HUGE
+        offset = vpn - region * PAGES_PER_HUGE
+        rec = self._regions.get(region)
+        delta = None if rec is None else rec.slots[offset]
+        if delta is None:
             raise MappingError(f"{self.name}: vpn {vpn} not base-mapped")
-        pfn = self._base.pop(vpn)
-        region = huge_region_index(vpn)
-        bucket = self._region_base[region]
-        del bucket[vpn]
-        if not bucket:
-            del self._region_base[region]
-        deltas = self._region_delta[region]
-        d = pfn - vpn
-        count = deltas[d] - 1
-        if count:
-            deltas[d] = count
+        rec.slots[offset] = None
+        rec.mask ^= 1 << offset
+        rec.population -= 1
+        rec.order = None
+        self._base_count -= 1
+        if rec.population:
+            deltas = rec.deltas
+            left = deltas[delta] - 1
+            if left:
+                deltas[delta] = left
+            else:
+                del deltas[delta]
         else:
-            del deltas[d]
-            if not deltas:
-                del self._region_delta[region]
+            del self._regions[region]
+        pfn = vpn + delta
         if self.index is not None:
             self.index.base_unmapped(self, vpn, pfn)
         return pfn
@@ -236,12 +344,15 @@ class PageTable:
 
     def translate(self, vpn: int) -> int | None:
         """Translate a base VPN to its PFN, through either mapping size."""
-        region = huge_region_index(vpn)
+        region = vpn // PAGES_PER_HUGE
         pregion = self._huge.get(region)
         if pregion is not None:
-            offset = vpn - region * PAGES_PER_HUGE
-            return pregion * PAGES_PER_HUGE + offset
-        return self._base.get(vpn)
+            return pregion * PAGES_PER_HUGE + vpn - region * PAGES_PER_HUGE
+        rec = self._regions.get(region)
+        if rec is None:
+            return None
+        delta = rec.slots[vpn - region * PAGES_PER_HUGE]
+        return None if delta is None else vpn + delta
 
     def mapped_run(self, vpn: int, limit: int) -> tuple[int, int] | None:
         """The mapped run at *vpn* as ``(pfn, count)``: ``vpn + i`` maps to
@@ -249,40 +360,46 @@ class PageTable:
         exclusive vpn), at the end of *vpn*'s region, or where the frames
         stop being contiguous.  None when *vpn* is unmapped.
 
-        O(1) for a huge region; base pages walk the region's bucket.
+        O(1) for a huge region; base pages compare the region's slots.
         """
-        region = huge_region_index(vpn)
-        stop = min(limit, (region + 1) * PAGES_PER_HUGE)
+        region = vpn // PAGES_PER_HUGE
+        first = region * PAGES_PER_HUGE
+        stop = min(limit, first + PAGES_PER_HUGE)
         pregion = self._huge.get(region)
         if pregion is not None:
-            return pregion * PAGES_PER_HUGE + vpn - region * PAGES_PER_HUGE, stop - vpn
-        bucket = self._region_base.get(region)
-        pfn = None if bucket is None else bucket.get(vpn)
-        if pfn is None:
+            return pregion * PAGES_PER_HUGE + vpn - first, stop - vpn
+        rec = self._regions.get(region)
+        if rec is None:
             return None
-        delta = pfn - vpn
-        end = vpn + 1
-        while end < stop and bucket.get(end) == end + delta:
-            end += 1
-        return pfn, end - vpn
+        offset = vpn - first
+        slots = rec.slots
+        delta = slots[offset]
+        if delta is None:
+            return None
+        # Contiguous frames share the delta: the run ends at the first
+        # slot past *offset* holding another one (or nothing).
+        rest = slots[offset + 1:stop - first]
+        length = next(
+            compress(range(1, len(rest) + 1), map(ne, rest, repeat(delta))),
+            len(rest) + 1,
+        )
+        return vpn + delta, length
 
     def unmapped_run_end(self, vpn: int, limit: int) -> int:
         """The first base-mapped vpn in ``[vpn, limit)``, or *limit*: where
         the unmapped run at *vpn* ends.
 
         *vpn*'s region must not be huge-mapped and *limit* must not pass
-        its end.  Scans the region's bucket or the window, whichever is
-        smaller, so a region with no base mappings is one run in O(1).
+        its end.  O(1): the lowest mapped bit at or above *vpn*.
         """
-        bucket = self._region_base.get(huge_region_index(vpn))
-        if not bucket:
+        region = vpn // PAGES_PER_HUGE
+        rec = self._regions.get(region)
+        if rec is None:
             return limit
-        if len(bucket) < limit - vpn:
-            return min((v for v in bucket if vpn <= v < limit), default=limit)
-        for v in range(vpn, limit):
-            if v in bucket:
-                return v
-        return limit
+        above = rec.mask >> (vpn - region * PAGES_PER_HUGE)
+        if not above:
+            return limit
+        return min(limit, vpn + (above & -above).bit_length() - 1)
 
     def is_mapped(self, vpn: int) -> bool:
         return self.translate(vpn) is not None
@@ -301,19 +418,21 @@ class PageTable:
 
     def region_population(self, vregion: int) -> int:
         """Number of base pages mapped within virtual region *vregion*."""
-        return len(self._region_base.get(vregion, ()))
+        rec = self._regions.get(vregion)
+        return 0 if rec is None else rec.population
 
     def region_mappings(self, vregion: int) -> dict[int, int]:
-        """Copy of the base vpn -> pfn mappings within *vregion*."""
-        return dict(self._region_base.get(vregion, {}))
+        """The base vpn -> pfn mappings within *vregion*, in mapping order
+        (a fresh dict)."""
+        rec = self._regions.get(vregion)
+        return {} if rec is None else dict(self._items(vregion, rec))
 
-    def region_items(self, vregion: int):
-        """Read-only (vpn, pfn) view of *vregion*'s base mappings.
-
-        Unlike :meth:`region_mappings` this does not copy; callers must
-        not mutate the table while iterating the view.
-        """
-        return self._region_base.get(vregion, _EMPTY_REGION).items()
+    def region_items(self, vregion: int) -> list[tuple[int, int]]:
+        """*vregion*'s base mappings as ``(vpn, pfn)`` pairs in mapping
+        order (a fresh list: callers may mutate the table while walking
+        it)."""
+        rec = self._regions.get(vregion)
+        return [] if rec is None else list(self._items(vregion, rec))
 
     def promotable(self, vregion: int) -> int | None:
         """If *vregion* is in-place promotable, the target physical region.
@@ -325,18 +444,19 @@ class PageTable:
         # 512 mappings of one delta == fully populated, contiguous and in
         # virtual order; the delta is huge-aligned exactly when the first
         # frame is (the region's first vpn is region-aligned).
-        deltas = self._region_delta.get(vregion)
-        if deltas is None or len(deltas) != 1:
+        rec = self._regions.get(vregion)
+        if rec is None or len(rec.deltas) != 1:
             return None
-        ((delta, count),) = deltas.items()
-        if count != PAGES_PER_HUGE or delta % PAGES_PER_HUGE != 0:
+        ((delta, pages),) = rec.deltas.items()
+        if pages != PAGES_PER_HUGE or delta % PAGES_PER_HUGE != 0:
             return None
         return (vregion * PAGES_PER_HUGE + delta) // PAGES_PER_HUGE
 
     def region_deltas(self, vregion: int) -> dict[int, int]:
         """The region's ``{pfn - vpn: count}`` summary (empty when it has
         no base mappings).  Callers must treat the dict as read-only."""
-        return self._region_delta.get(vregion, _EMPTY_REGION)
+        rec = self._regions.get(vregion)
+        return _EMPTY_DELTAS if rec is None else rec.deltas
 
     def promote_in_place(self, vregion: int) -> int:
         """Collapse the base mappings of *vregion* into one huge mapping.
@@ -349,10 +469,8 @@ class PageTable:
             raise MappingError(
                 f"{self.name}: region {vregion} not in-place promotable"
             )
-        for vpn in list(self._region_base[vregion]):
-            del self._base[vpn]
-        del self._region_base[vregion]
-        del self._region_delta[vregion]
+        del self._regions[vregion]
+        self._base_count -= PAGES_PER_HUGE
         self._huge[vregion] = pregion
         if self.index is not None:
             self.index.promoted(self, vregion, pregion)
@@ -364,24 +482,28 @@ class PageTable:
         *new_pfns* maps each currently-mapped vpn of the region to its new
         frame.  Returns the old vpn -> pfn mappings so the caller can free
         the vacated frames.  Every mapped vpn must be present in *new_pfns*.
+        Each page keeps its place in mapping order.
         """
-        bucket = self._region_base.get(vregion)
-        if not bucket:
+        rec = self._regions.get(vregion)
+        if rec is None:
             raise MappingError(f"{self.name}: region {vregion} has no base mappings")
-        if set(new_pfns) != set(bucket):
+        old = dict(self._items(vregion, rec))
+        if new_pfns.keys() != old.keys():
             raise MappingError(
                 f"{self.name}: remap of region {vregion} must cover exactly "
                 "the mapped vpns"
             )
-        old = dict(bucket)
-        for vpn, pfn in new_pfns.items():
-            self._base[vpn] = pfn
-            bucket[vpn] = pfn
+        first = vregion * PAGES_PER_HUGE
+        slots = rec.slots
+        # Rebuilt in mapping order; pages of one delta share its int.
         deltas: dict[int, int] = {}
-        for vpn, pfn in bucket.items():
-            d = pfn - vpn
-            deltas[d] = deltas.get(d, 0) + 1
-        self._region_delta[vregion] = deltas
+        shared: dict[int, int] = {}
+        for vpn in old:
+            delta = new_pfns[vpn] - vpn
+            delta = shared.setdefault(delta, delta)
+            deltas[delta] = deltas.get(delta, 0) + 1
+            slots[vpn - first] = delta
+        rec.deltas = deltas
         if self.index is not None:
             self.index.region_remapped(self, vregion, old, new_pfns)
         return old
@@ -391,13 +513,8 @@ class PageTable:
         if vregion not in self._huge:
             raise MappingError(f"{self.name}: region {vregion} not huge-mapped")
         pregion = self._huge.pop(vregion)
-        first_vpn = vregion * PAGES_PER_HUGE
-        first_pfn = pregion * PAGES_PER_HUGE
-        bucket = self._region_base.setdefault(vregion, {})
-        for offset in range(PAGES_PER_HUGE):
-            self._base[first_vpn + offset] = first_pfn + offset
-            bucket[first_vpn + offset] = first_pfn + offset
-        self._region_delta[vregion] = {first_pfn - first_vpn: PAGES_PER_HUGE}
+        rec = self._regions[vregion] = _Region()
+        self._write(rec, 0, (pregion - vregion) * PAGES_PER_HUGE, PAGES_PER_HUGE)
         if self.index is not None:
             self.index.demoted(self, vregion, pregion)
 
@@ -412,12 +529,22 @@ class PageTable:
     def base_mappings(self) -> Iterator[tuple[int, int]]:
         """Yield (vpn, pfn) for every base mapping, in mapping order (a
         remap keeps each page's place).  KSM's scan budget walks this
-        order, so it is observable in results."""
-        yield from self._base.items()
+        order, so it is observable in results.
+
+        Merges the regions' mapping orders lazily by sequence number, so
+        taking the first *k* mappings costs O(regions + k log regions).
+        """
+        streams = []
+        for vregion, rec in self._regions.items():
+            vpns, deltas, seqs = self._columns(vregion, rec)
+            streams.append(zip(seqs, vpns, map(add, vpns, deltas)))
+        for _, vpn, pfn in merge(*streams):
+            yield vpn, pfn
 
     def populated_regions(self) -> Iterator[int]:
-        """Virtual regions with at least one base mapping (non-huge)."""
-        yield from self._region_base.keys()
+        """Virtual regions with at least one base mapping (non-huge), in
+        the order they gained their first one."""
+        yield from self._regions.keys()
 
     @property
     def huge_count(self) -> int:
@@ -425,7 +552,7 @@ class PageTable:
 
     @property
     def base_count(self) -> int:
-        return len(self._base)
+        return self._base_count
 
     @property
     def mapped_pages(self) -> int:

@@ -352,9 +352,8 @@ class PressureController:
             backed: dict[int, int] = {
                 region: PAGES_PER_HUGE for region in huge_regions
             }
-            for gpn, _ in ept.base_mappings():
-                region = gpn // PAGES_PER_HUGE
-                backed[region] = backed.get(region, 0) + 1
+            for region in ept.populated_regions():
+                backed[region] = ept.region_population(region)
             for region in sorted(backed):
                 if region in huge_regions:
                     backing = (

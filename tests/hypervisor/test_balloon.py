@@ -216,7 +216,6 @@ def four_class_setup():
     """
     platform, vm = make_setup(host_policy=HostHuge())
     host, ept = platform.host, platform.ept(vm.id)
-    host.enable_owner_index()
     host.fault(vm.id, 0, full_region=True)
     host.fault(vm.id, PAGES_PER_HUGE, full_region=True)
     vm.gpa_space.alloc_range(4 * PAGES_PER_HUGE, 12 * PAGES_PER_HUGE)

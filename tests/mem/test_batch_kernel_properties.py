@@ -95,6 +95,31 @@ def test_free_frames_rejects_double_free():
         buddy.free_frames([6])
 
 
+def test_refused_free_frames_frees_nothing():
+    """A repeated frame late in the batch refuses the whole batch."""
+    buddy = BuddyAllocator(64)
+    buddy.alloc_range(0, 16)
+    before = canonical_blocks(buddy)
+    with pytest.raises(ValueError, match="double free of block"):
+        buddy.free_frames([0, 1, 8, 8])
+    assert buddy.free_pages == 48
+    assert canonical_blocks(buddy) == before
+
+
+def test_refused_physmem_free_frames_frees_no_node():
+    """A free frame on the second node refuses the first node's share too."""
+    memory = PhysicalMemory(128, nodes=2)
+    memory.alloc_range(0, 16)
+    memory.alloc_range(64, 16)
+    before = [canonical_blocks(node) for node in memory.nodes]
+    with pytest.raises(ValueError, match="double free"):
+        memory.free_frames([0, 1, 64, 100])
+    with pytest.raises(ValueError, match="outside physical memory"):
+        memory.free_frames([0, 1, 64, 128])
+    assert memory.free_pages == 96
+    assert [canonical_blocks(node) for node in memory.nodes] == before
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     pins=st.lists(

@@ -38,9 +38,7 @@ MERGED = 1
 
 
 def make_layer() -> MemoryLayer:
-    layer = MemoryLayer("prop", PhysicalMemory(TOTAL), HugePagePolicy())
-    layer.enable_owner_index()
-    return layer
+    return MemoryLayer("prop", PhysicalMemory(TOTAL), HugePagePolicy())
 
 
 def mappings(layer: MemoryLayer) -> tuple[dict[int, int], dict[int, int]]:

@@ -293,7 +293,6 @@ def test_release_client_drops_its_compact_witnesses(counters):
 
 def test_migration_promotion_without_huge_region_changes_nothing():
     layer = make_layer(pages=2 * PAGES_PER_HUGE)
-    layer.enable_owner_index()
     for vpn in range(100):
         layer.fault(0, vpn)
     layer.memory.alloc_at(PAGES_PER_HUGE + 256, 0)  # no free huge region

@@ -1,6 +1,8 @@
 """Unit tests for VMAs and address spaces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.os.vma import VMA, AddressSpace
@@ -80,3 +82,34 @@ def test_address_space_vma_lookup():
     space.mmap(10, "a")
     assert space.vma("a").name == "a"
     assert list(space.vmas())[0].name == "a"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=1, max_value=3 * PAGES_PER_HUGE),
+            st.booleans(),
+            st.integers(min_value=0, max_value=1 << 16),
+        ),
+        max_size=30,
+    )
+)
+def test_find_matches_a_linear_scan(ops):
+    """``find`` bisects the sorted VMA starts: after any mmap/munmap
+    sequence it answers as a scan of every VMA does, at every VMA edge."""
+    space = AddressSpace()
+    names = []
+    for index, (unmap, npages, aligned, pick) in enumerate(ops):
+        if unmap and names:
+            space.munmap(names.pop(pick % len(names)))
+        else:
+            names.append(f"v{index}")
+            space.mmap(npages, names[-1], huge_aligned=aligned)
+        probes = {0, pick}
+        for vma in space.vmas():
+            probes |= {vma.start - 1, vma.start, vma.end - 1, vma.end}
+        for vpn in probes:
+            scan = [vma for vma in space.vmas() if vpn in vma]
+            assert space.find(vpn) is (scan[0] if scan else None)

@@ -253,7 +253,6 @@ def test_owner_counts_match_rmap_recompute(ops):
     MemoryLayer traffic."""
     total = 12 * PAGES_PER_HUGE
     layer = MemoryLayer("prop", PhysicalMemory(total), HugePagePolicy())
-    layer.enable_owner_index()
     for op, region, offset in ops:
         vpn = region * PAGES_PER_HUGE + offset
         try:
