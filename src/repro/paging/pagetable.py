@@ -152,22 +152,16 @@ class PageTable:
         a sequence of vpns and two iterables aligned with it."""
         first = vregion * PAGES_PER_HUGE
         slots, seqs = rec.slots, rec.seqs
-        if rec.ordered:
-            if rec.mask == _FULL:
-                return range(first, first + PAGES_PER_HUGE), slots, seqs
-            mapped = list(map(is_not, slots, _NONES))
-            return (
-                list(compress(range(first, first + PAGES_PER_HUGE), mapped)),
-                compress(slots, mapped),
-                compress(seqs, mapped),
-            )
+        if rec.ordered and rec.mask == _FULL:
+            return range(first, first + PAGES_PER_HUGE), slots, seqs
         order = rec.order
         if order is None:
-            # A stable sort: a run's pages share a number and stay in
-            # vpn order.
             order = list(compress(range(PAGES_PER_HUGE), map(is_not, slots, _NONES)))
-            order.sort(key=seqs.__getitem__)
-            rec.order = order
+            if not rec.ordered:
+                # A stable sort: a run's pages share a number and stay in
+                # vpn order.
+                order.sort(key=seqs.__getitem__)
+                rec.order = order
         return (
             list(map(first.__add__, order)),
             map(slots.__getitem__, order),
@@ -260,8 +254,20 @@ class PageTable:
                 f"{self.name}: window [{start}, {end}) leaves region {vregion}"
             )
         rec = self._regions.get(vregion)
+        removed = {} if rec is None else self._remove(vregion, rec, start, end)
+        if removed and self.index is not None:
+            self.index.region_base_cleared(self, vregion, removed)
+        return removed
+
+    def _remove(
+        self, vregion: int, rec: _Region, start: int, end: int
+    ) -> dict[int, int]:
+        """Clear the mapped slots of the vpn window ``[start, end)`` (inside
+        *vregion*); return their mappings in ascending vpn order.  Sends no
+        index event."""
+        first = vregion * PAGES_PER_HUGE
         lo, hi = start - first, end - first
-        window = 0 if rec is None else rec.mask >> lo & ((1 << (hi - lo)) - 1)
+        window = rec.mask >> lo & ((1 << (hi - lo)) - 1)
         if not window:
             return {}
         slots = rec.slots
@@ -269,7 +275,6 @@ class PageTable:
         mapped = list(map(is_not, dropped, _NONES))
         vpns = list(compress(range(start, end), mapped))
         gone = list(compress(dropped, mapped))
-        removed = dict(zip(vpns, map(add, vpns, gone)))
         slots[lo:hi] = [None] * (hi - lo)
         rec.mask ^= window << lo
         rec.population -= len(vpns)
@@ -285,9 +290,7 @@ class PageTable:
                     del deltas[delta]
         else:
             del self._regions[vregion]
-        if self.index is not None:
-            self.index.region_base_cleared(self, vregion, removed)
-        return removed
+        return dict(zip(vpns, map(add, vpns, gone)))
 
     def map_huge(self, vregion: int, pregion: int) -> None:
         """Install a 2 MiB mapping of virtual region -> physical region."""
@@ -305,26 +308,11 @@ class PageTable:
     def unmap_base(self, vpn: int) -> int:
         """Remove a 4 KiB mapping; return the PFN it pointed at."""
         region = vpn // PAGES_PER_HUGE
-        offset = vpn - region * PAGES_PER_HUGE
         rec = self._regions.get(region)
-        delta = None if rec is None else rec.slots[offset]
-        if delta is None:
+        removed = {} if rec is None else self._remove(region, rec, vpn, vpn + 1)
+        if not removed:
             raise MappingError(f"{self.name}: vpn {vpn} not base-mapped")
-        rec.slots[offset] = None
-        rec.mask ^= 1 << offset
-        rec.population -= 1
-        rec.order = None
-        self._base_count -= 1
-        if rec.population:
-            deltas = rec.deltas
-            left = deltas[delta] - 1
-            if left:
-                deltas[delta] = left
-            else:
-                del deltas[delta]
-        else:
-            del self._regions[region]
-        pfn = vpn + delta
+        pfn = removed[vpn]
         if self.index is not None:
             self.index.base_unmapped(self, vpn, pfn)
         return pfn
