@@ -9,13 +9,16 @@ Gemini's EMA additionally aligns the *physical* side to these boundaries.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from repro.mem.layout import PAGES_PER_HUGE, huge_align_up, huge_region_index
 
 __all__ = ["VMA", "AddressSpace"]
+
+_start = attrgetter("start")
 
 
 @dataclass
@@ -65,9 +68,8 @@ class AddressSpace:
     def __init__(self, base: int = PAGES_PER_HUGE) -> None:
         self._next = base
         self._vmas: dict[str, VMA] = {}
-        #: the VMAs' starts in ascending order, and the VMAs in that order:
-        #: VMAs are disjoint, so :meth:`find` bisects
-        self._starts: list[int] = []
+        #: the VMAs by ascending start: they are disjoint, so :meth:`find`
+        #: bisects
         self._by_start: list[VMA] = []
 
     def mmap(self, npages: int, name: str, huge_aligned: bool = True) -> VMA:
@@ -82,9 +84,7 @@ class AddressSpace:
         start = huge_align_up(self._next) if huge_aligned else self._next
         vma = VMA(start=start, npages=npages, name=name)
         self._vmas[name] = vma
-        at = bisect_right(self._starts, start)
-        self._starts.insert(at, start)
-        self._by_start.insert(at, vma)
+        insort(self._by_start, vma, key=_start)
         self._next = huge_align_up(vma.end) + PAGES_PER_HUGE
         return vma
 
@@ -93,9 +93,7 @@ class AddressSpace:
         if name not in self._vmas:
             raise KeyError(f"no such VMA: {name}")
         vma = self._vmas.pop(name)
-        at = bisect_right(self._starts, vma.start) - 1
-        del self._starts[at]
-        del self._by_start[at]
+        del self._by_start[bisect_left(self._by_start, vma.start, key=_start)]
         return vma
 
     def vma(self, name: str) -> VMA:
@@ -103,7 +101,7 @@ class AddressSpace:
 
     def find(self, vpn: int) -> VMA | None:
         """The VMA containing *vpn*, if any."""
-        at = bisect_right(self._starts, vpn) - 1
+        at = bisect_right(self._by_start, vpn, key=_start) - 1
         if at >= 0:
             vma = self._by_start[at]
             if vpn < vma.end:

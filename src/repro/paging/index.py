@@ -282,23 +282,6 @@ class VMTranslationIndex:
     # Table events (delivered by PageTable through its index slot)
     # ------------------------------------------------------------------
 
-    def base_mapped(self, table: PageTable, vpn: int, pfn: int) -> None:
-        if table is self.guest:
-            self._live_add(pfn // PAGES_PER_HUGE)
-            self._drop_classes(vpn // PAGES_PER_HUGE)
-        # EPT base maps add translations only: nothing invalidates.
-
-    def base_unmapped(self, table: PageTable, vpn: int, pfn: int) -> None:
-        if table is self.guest:
-            self._live_drop(pfn // PAGES_PER_HUGE)
-            vregion = vpn // PAGES_PER_HUGE
-            self._drop_classes(vregion)
-            self._drop_translated(vregion)
-        else:
-            gpregion = vpn // PAGES_PER_HUGE
-            self._drop_classes_for_gpregion(gpregion)
-            self._drop_translated_for_gpregion(gpregion)
-
     def huge_mapped(self, table: PageTable, vregion: int, pregion: int) -> None:
         if table is self.guest:
             self._guest_target_added(pregion)
@@ -356,9 +339,9 @@ class VMTranslationIndex:
     def base_mapped_run(
         self, table: PageTable, vpn: int, pfn: int, count: int
     ) -> None:
-        # Batched form of `base_mapped`: the run stays inside one virtual
-        # region, so the classification cache invalidates once and the
-        # live counters take per-physical-region increments.
+        # A run of one page or more, inside one virtual region: the
+        # classification cache invalidates once and the live counters take
+        # per-physical-region increments.
         if table is not self.guest:
             return  # EPT base maps add translations only: nothing invalidates.
         pos = pfn
@@ -373,9 +356,9 @@ class VMTranslationIndex:
     def region_base_cleared(
         self, table: PageTable, vregion: int, mappings: dict[int, int]
     ) -> None:
-        # Batched form of `base_unmapped` over a region's removed pages
-        # (all of them or a window): identical end state, with per-page
-        # counter updates aggregated and one invalidation per region.
+        # A region's removed pages (all of them, a window or one page):
+        # per-page counter updates aggregated and one invalidation per
+        # region.
         if table is self.guest:
             drops: dict[int, int] = {}
             for pfn in mappings.values():

@@ -179,20 +179,7 @@ class PageTable:
 
     def map_base(self, vpn: int, pfn: int) -> None:
         """Install a 4 KiB mapping vpn -> pfn."""
-        region = vpn // PAGES_PER_HUGE
-        if region in self._huge:
-            raise MappingError(
-                f"{self.name}: vpn {vpn} already covered by huge mapping"
-            )
-        offset = vpn - region * PAGES_PER_HUGE
-        rec = self._regions.get(region)
-        if rec is None:
-            rec = self._regions[region] = _Region()
-        elif rec.slots[offset] is not None:
-            raise MappingError(f"{self.name}: vpn {vpn} already mapped")
-        self._write(rec, offset, pfn - vpn, 1)
-        if self.index is not None:
-            self.index.base_mapped(self, vpn, pfn)
+        self._map(vpn, pfn, 1)
 
     def map_base_run(self, vpn: int, pfn: int, count: int) -> None:
         """Install the contiguous run ``vpn + i -> pfn + i`` (one region).
@@ -201,6 +188,9 @@ class PageTable:
         stays inside a single virtual region: same mappings, same delta
         summary, one composite index event instead of *count*.
         """
+        self._map(vpn, pfn, count)
+
+    def _map(self, vpn: int, pfn: int, count: int) -> None:
         region = vpn // PAGES_PER_HUGE
         if (vpn + count - 1) // PAGES_PER_HUGE != region:
             raise MappingError(
@@ -254,20 +244,8 @@ class PageTable:
                 f"{self.name}: window [{start}, {end}) leaves region {vregion}"
             )
         rec = self._regions.get(vregion)
-        removed = {} if rec is None else self._remove(vregion, rec, start, end)
-        if removed and self.index is not None:
-            self.index.region_base_cleared(self, vregion, removed)
-        return removed
-
-    def _remove(
-        self, vregion: int, rec: _Region, start: int, end: int
-    ) -> dict[int, int]:
-        """Clear the mapped slots of the vpn window ``[start, end)`` (inside
-        *vregion*); return their mappings in ascending vpn order.  Sends no
-        index event."""
-        first = vregion * PAGES_PER_HUGE
         lo, hi = start - first, end - first
-        window = rec.mask >> lo & ((1 << (hi - lo)) - 1)
+        window = 0 if rec is None else rec.mask >> lo & ((1 << (hi - lo)) - 1)
         if not window:
             return {}
         slots = rec.slots
@@ -290,7 +268,10 @@ class PageTable:
                     del deltas[delta]
         else:
             del self._regions[vregion]
-        return dict(zip(vpns, map(add, vpns, gone)))
+        removed = dict(zip(vpns, map(add, vpns, gone)))
+        if self.index is not None:
+            self.index.region_base_cleared(self, vregion, removed)
+        return removed
 
     def map_huge(self, vregion: int, pregion: int) -> None:
         """Install a 2 MiB mapping of virtual region -> physical region."""
@@ -308,14 +289,10 @@ class PageTable:
     def unmap_base(self, vpn: int) -> int:
         """Remove a 4 KiB mapping; return the PFN it pointed at."""
         region = vpn // PAGES_PER_HUGE
-        rec = self._regions.get(region)
-        removed = {} if rec is None else self._remove(region, rec, vpn, vpn + 1)
+        removed = self._unmap_window(region, vpn, vpn + 1)
         if not removed:
             raise MappingError(f"{self.name}: vpn {vpn} not base-mapped")
-        pfn = removed[vpn]
-        if self.index is not None:
-            self.index.base_unmapped(self, vpn, pfn)
-        return pfn
+        return removed[vpn]
 
     def unmap_huge(self, vregion: int) -> int:
         """Remove a 2 MiB mapping; return the physical region index."""
