@@ -115,16 +115,9 @@ class GeminiGuestPolicy(CoalescingPolicy):
     # EMA placement
     # ------------------------------------------------------------------
 
-    def choose_base_frame(self, client: int, vpn: int) -> int | None:
-        assert self._placer is not None
-        if self.booking is None:
-            # EMA/HB ablated: fall back to default placement.
-            return None
-        return self._placer.place(client, vpn)
-
     def choose_base_frames(
         self, client: int, vpn: int, max_pages: int
-    ) -> tuple[int | None, int] | None:
+    ) -> tuple[int | None, int]:
         assert self._placer is not None
         if self.booking is None:
             # EMA/HB ablated: every page takes the default allocator.

@@ -89,7 +89,7 @@ class KsmDaemon:
                 if content is None:
                     continue
                 shared = self._shared.get(content)
-                if shared is not None and not self._frame_live(host, shared):
+                if shared is not None and not host.frame_referenced(shared):
                     # Every VM referencing the shared frame departed and
                     # the frame went back to the allocator; merging into
                     # it would alias whoever owns it next.  Reseed.
@@ -99,22 +99,12 @@ class KsmDaemon:
                     continue
                 if shared == hpn:
                     continue
-                # Merge: remap to the shared frame, free the duplicate.
-                ept.unmap_base(gpn)
-                host._drop_rmap(hpn, vm.id, gpn)
-                host.release_frame(hpn)
-                ept.map_base(gpn, shared)
-                host.add_frame_ref(shared)
+                host.merge_page(vm.id, gpn, shared)
                 merged += 1
         self.merged_pages += merged
         if merged:
             obs.count("ksm.merged_pages", merged)
         return merged
-
-    @staticmethod
-    def _frame_live(host, pfn: int) -> bool:
-        """Is the shared frame still mapped by anyone?"""
-        return host.owner_of_frame(pfn) is not None or pfn in host._frame_refs
 
     def _break_candidate_huge_pages(self, vm_id: int) -> None:
         """Demote huge EPT entries that likely contain mergeable pages."""

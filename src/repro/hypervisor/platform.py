@@ -53,10 +53,6 @@ class Platform:
         #: Per-VM incremental translation-state indices (O(changed-
         #: regions) epoch work), one per attached VM.
         self.indices: dict[int, VMTranslationIndex] = {}
-        #: vm id -> {(start, npages): index.invalidation_gen} for ranges
-        #: proven fully translated at both layers.  While the generation
-        #: matches, re-touching the range is a no-op and skips in O(1).
-        self._quiescent: dict[int, dict[tuple[int, int], int]] = {}
 
     @classmethod
     def with_mib(
@@ -111,7 +107,6 @@ class Platform:
             raise ValueError(f"VM id {vm_id} not attached to this platform")
         vm = self.vms[vm_id]
         index = self.indices.pop(vm.id)
-        self._quiescent.pop(vm.id, None)
         # Free both slots: the guest table travels on with the VM, and
         # the EPT's teardown below must run unobserved.
         index.guest.index = index.ept.index = None
@@ -171,36 +166,11 @@ class Platform:
         end = start + npages
         hook = self.fault_hook
         horizon = None if hook is None else hook.act_horizon
-        index = self.indices[vm.id]
         guest = vm.guest.table(PROCESS)
-        if npages > 0:
-            # Quiescent-range cache: a range once proven fully translated
-            # at both layers stays a no-op until some region anywhere
-            # leaves the fully-translated set (demote, unmap, remap,
-            # migration teardown) — every such event bumps the index's
-            # invalidation generation, so a matching fingerprint makes the
-            # replay O(1) instead of O(regions).
-            cache = self._quiescent.get(vm.id)
-            if cache is not None and cache.get((start, npages)) == index.invalidation_gen:
-                return
-        all_skipped = True
         pos = start
         while pos < end:
-            if pos == start or pos % PAGES_PER_HUGE == 0:
-                # A region translated at both layers cannot fault at
-                # either, so touching it is a no-op: skip it whole.
-                vregion = pos // PAGES_PER_HUGE
-                if index.region_translated(vregion):
-                    pos = min(end, (vregion + 1) * PAGES_PER_HUGE)
-                    continue
-            all_skipped = False
             mapped = guest.translate(pos) is not None
-            window = end - pos
-            if mapped:
-                # Only the host layer can fault here.  Stop at the guest
-                # region's end so the skip above sees every region start.
-                window = min(window, PAGES_PER_HUGE - pos % PAGES_PER_HUGE)
-            n = window if horizon is None else horizon(window)
+            n = end - pos if horizon is None else horizon(end - pos)
             if n <= 0:
                 # The very next fault triggers noise: deliver it per-page
                 # so the noise allocation lands at its exact position.
@@ -210,14 +180,12 @@ class Platform:
                 pos = self._touch_mapped_run(vm, guest, pos, pos + n)
             else:
                 pos += self._touch_unmapped_run(vm, pos, n)
-        if all_skipped and npages > 0:
-            self._quiescent.setdefault(vm.id, {})[(start, npages)] = index.invalidation_gen
 
     def _touch_mapped_run(self, vm: VM, guest: PageTable, start: int, limit: int) -> int:
         """Fault the host layer under the guest-mapped pages from *start*
-        up to *limit* (within one guest region); returns the first page not
-        handled, the first guest-unmapped one or *limit*.  Caller
-        guarantees none of the resulting fault notifications acts.
+        up to *limit*; returns the first page not handled, the first
+        guest-unmapped one or *limit*.  Caller guarantees none of the
+        resulting fault notifications acts.
 
         Exact because host faults never change guest mappings (emergency
         reclaim only unmaps EPT entries), and ``fault_range(gpn, n)``

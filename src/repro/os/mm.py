@@ -31,8 +31,10 @@ region.  Base mappings are kept as one record per physical 2 MiB region
   Gemini's promoters a region's dominant owner without a scan.
 
 A KSM-shared frame keeps the owner it had when other pages were merged
-into it.  In-place promotion maps exactly one physical region's frames,
-so it drops that region's record whole.
+into it.  In-place promotion refuses a region holding a shared frame, as
+khugepaged refuses KSM pages, so a huge mapping never covers one; it maps
+exactly one physical region's frames, so it drops that region's record
+whole.
 """
 
 from __future__ import annotations
@@ -165,6 +167,26 @@ class MemoryLayer:
     def add_frame_ref(self, pfn: int) -> None:
         """Register an additional mapping of *pfn* (page sharing/KSM)."""
         self._frame_refs[pfn] = self._frame_refs.get(pfn, 0) + 1
+
+    def frame_referenced(self, pfn: int) -> bool:
+        """Does *pfn* have a base reverse-map owner or an extra reference?
+
+        False for a shared frame whose owner has unmapped it while one
+        merged page still maps it: the owner's entry is gone, and the
+        last merged page holds the frame without an extra reference.
+        """
+        return self.owner_of_frame(pfn) is not None or pfn in self._frame_refs
+
+    def merge_page(self, client: int, vpn: int, shared: int) -> None:
+        """KSM merge: remap base page *vpn* onto frame *shared*, which
+        keeps its owner and gains a reference, and release the page's own
+        frame."""
+        table = self.table(client)
+        pfn = table.unmap_base(vpn)
+        self._drop_rmap(pfn, client, vpn)
+        self.release_frame(pfn)
+        table.map_base(vpn, shared)
+        self.add_frame_ref(shared)
 
     def release_frame(self, pfn: int) -> None:
         """Drop one reference to *pfn*; free it when none remain."""
@@ -327,26 +349,32 @@ class MemoryLayer:
         if pfn is not None:
             return pfn
         vregion = vpn // PAGES_PER_HUGE
-        if (
-            full_region
-            and table.region_population(vregion) == 0
-            and self.policy.wants_huge_fault(client, vregion)
-        ):
-            pregion = self.policy.alloc_huge_region(client, vregion)
+        if full_region:
+            pregion = self._huge_fault(table, client, vregion)
             if pregion is not None:
-                table.map_huge(vregion, pregion)
-                self._rmap_huge[pregion] = (client, vregion)
                 self.ledger.charge("huge_fault", costs.HUGE_FAULT_CYCLES)
-                result = table.translate(vpn)
-                assert result is not None
-                return result
-        frame = self.policy.choose_base_frame(client, vpn)
+                return pregion * PAGES_PER_HUGE + vpn % PAGES_PER_HUGE
+        frame, _ = self.policy.choose_base_frames(client, vpn, 1)
         if frame is None:
             frame = self.alloc_base_frame()
         table.map_base(vpn, frame)
         self._set_rmap(frame, client, vpn)
         self.ledger.charge("base_fault", costs.BASE_FAULT_CYCLES)
         return frame
+
+    def _huge_fault(self, table: PageTable, client: int, vregion: int) -> int | None:
+        """Serve a fault on *vregion* with a whole huge page when the
+        region is still empty and the policy wants and provides one;
+        return the mapped physical region, or None for a base fault."""
+        if table.region_population(vregion) or not self.policy.wants_huge_fault(
+            client, vregion
+        ):
+            return None
+        pregion = self.policy.alloc_huge_region(client, vregion)
+        if pregion is not None:
+            table.map_huge(vregion, pregion)
+            self._rmap_huge[pregion] = (client, vregion)
+        return pregion
 
     def fault_range(
         self,
@@ -403,16 +431,9 @@ class MemoryLayer:
             # The huge-fault gate can only open on the first fault of a
             # region: every later page of the segment sees a non-zero
             # population, exactly as the per-page path would.
-            full = True if full_region_of is None else full_region_of(vregion)
-            if (
-                full
-                and table.region_population(vregion) == 0
-                and self.policy.wants_huge_fault(client, vregion)
-            ):
-                pregion = self.policy.alloc_huge_region(client, vregion)
+            if full_region_of is None or full_region_of(vregion):
+                pregion = self._huge_fault(table, client, vregion)
                 if pregion is not None:
-                    table.map_huge(vregion, pregion)
-                    self._rmap_huge[pregion] = (client, vregion)
                     huge_faults += 1
                     first = pregion * PAGES_PER_HUGE + (
                         pos - vregion * PAGES_PER_HUGE
@@ -428,20 +449,9 @@ class MemoryLayer:
                     continue
                 run_end = table.unmapped_run_end(pos, region_end)
                 while pos < run_end:
-                    batch = self.policy.choose_base_frames(
+                    frame, count = self.policy.choose_base_frames(
                         client, pos, run_end - pos
                     )
-                    if batch is None:
-                        frame = self.policy.choose_base_frame(client, pos)
-                        if frame is None:
-                            frame = self.alloc_base_frame()
-                        table.map_base(pos, frame)
-                        self._set_rmap(frame, client, pos)
-                        base_faults += 1
-                        emit(pos, frame, 1, "base")
-                        pos += 1
-                        continue
-                    frame, count = batch
                     if frame is None:
                         if self.memory.free_pages >= count:
                             # Order-0 allocation cannot fail while frames
@@ -512,13 +522,19 @@ class MemoryLayer:
     # ------------------------------------------------------------------
 
     def try_promote_in_place(self, client: int, vregion: int) -> bool:
-        """Zero-copy promotion when the region is contiguous and aligned."""
+        """Zero-copy promotion when the region is contiguous and aligned
+        and none of its frames is KSM-shared."""
         table = self.table(client)
         pregion = table.promotable(vregion)
         if pregion is None:
             return False
+        first = pregion * PAGES_PER_HUGE
+        if self._frame_refs and not self._frame_refs.keys().isdisjoint(
+            range(first, first + PAGES_PER_HUGE)
+        ):
+            return False
         # The region maps exactly the frames of *pregion*: every base
-        # entry there goes, shared frames' included.
+        # entry there goes.
         self._rmap.pop(pregion, None)
         table.promote_in_place(vregion)
         self._rmap_huge[pregion] = (client, vregion)

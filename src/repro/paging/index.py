@@ -18,25 +18,16 @@ demotion, remaps and whole-region runs), and maintains, incrementally:
   :class:`~repro.metrics.alignment.RegionClass` list last computed, valid
   until a table event invalidates it.  Invalidation is tracked through a
   reverse dependency map from EPT regions to the guest regions whose
-  classification reads them;
-* a **fully-translated region set** for the platform's touch path: a
-  guest-virtual region where every page translates at both layers cannot
-  fault, so touching it is a no-op and the whole region can be skipped in
-  O(1).
+  classification reads them.
 
-Invalidation rules (see docs/PERFORMANCE.md for the derivation):
-
-* classification depends on the guest region's own mappings and on
-  ``ept.is_huge`` of every guest-physical region it maps into, plus — via
-  the engine's host backfill — on those regions' EPT translations.  Any
-  guest-table event on the region invalidates it; EPT huge map/unmap/
-  promote/demote and EPT base unmaps invalidate all dependents.  EPT base
-  *maps* only add translations and change no classification input, so
-  they do not invalidate.
-* the fully-translated set is invalidated only by translation-removing
-  events: guest/EPT base or huge unmaps and guest remaps.  Promotion,
-  demotion and EPT remaps preserve every translation, so cached entries
-  survive them.
+Invalidation rule (see docs/PERFORMANCE.md for the derivation):
+classification depends on the guest region's own mappings and on
+``ept.is_huge`` of every guest-physical region it maps into, plus — via
+the engine's host backfill — on those regions' EPT translations.  Any
+guest-table event on the region invalidates it; EPT huge map/unmap/
+promote/demote and EPT base unmaps invalidate all dependents.  EPT base
+*maps* only add translations and change no classification input, so they
+do not invalidate.
 """
 
 from __future__ import annotations
@@ -70,16 +61,6 @@ class VMTranslationIndex:
         self._classes: dict[int, list[RegionClass]] = {}
         self._class_fwd: dict[int, tuple[int, ...]] = {}
         self._class_deps: dict[int, set[int]] = {}
-        # Fully-translated guest regions (platform touch skip).
-        self._translated: set[int] = set()
-        self._tr_fwd: dict[int, tuple[int, ...]] = {}
-        self._tr_deps: dict[int, set[int]] = {}
-        #: Bumped whenever a region leaves the fully-translated set.  The
-        #: platform's quiescence cache fingerprints a touch range against
-        #: this counter: an unchanged generation proves no translation the
-        #: range might depend on was removed since the range last replayed
-        #: as a pure skip, so the whole replay is a no-op.
-        self.invalidation_gen = 0
         self._bootstrap()
         guest_table.index = self
         ept.index = self
@@ -138,40 +119,6 @@ class VMTranslationIndex:
         for gpregion in deps:
             self._class_deps.setdefault(gpregion, set()).add(vregion)
 
-    def region_translated(self, vregion: int) -> bool:
-        """True when every page of guest region *vregion* translates at
-        both layers — touching it cannot fault at either layer.
-
-        Positive answers are cached (they only flip on a translation
-        removal, which invalidates); negative answers are recomputed, as
-        faults turn them positive without any table *removal* event.
-        """
-        if vregion in self._translated:
-            return True
-        guest = self.guest
-        ept = self.ept
-        if guest.is_huge(vregion):
-            gpregion = guest.huge_target(vregion)
-            if not ept.is_huge(gpregion) and (
-                ept.region_population(gpregion) != PAGES_PER_HUGE
-            ):
-                return False
-            deps: tuple[int, ...] = (gpregion,)
-        else:
-            if guest.region_population(vregion) != PAGES_PER_HUGE:
-                return False
-            regions = set()
-            for _, gpn in guest.region_items(vregion):
-                if ept.translate(gpn) is None:
-                    return False
-                regions.add(gpn // PAGES_PER_HUGE)
-            deps = tuple(regions)
-        self._translated.add(vregion)
-        self._tr_fwd[vregion] = deps
-        for gpregion in deps:
-            self._tr_deps.setdefault(gpregion, set()).add(vregion)
-        return True
-
     # ------------------------------------------------------------------
     # Invalidation helpers
     # ------------------------------------------------------------------
@@ -200,34 +147,6 @@ class VMTranslationIndex:
                     deps.discard(vregion)
                     if not deps:
                         del self._class_deps[other]
-
-    def _drop_translated(self, vregion: int) -> None:
-        if vregion not in self._translated:
-            return
-        self.invalidation_gen += 1
-        self._translated.discard(vregion)
-        for gpregion in self._tr_fwd.pop(vregion):
-            deps = self._tr_deps.get(gpregion)
-            if deps is not None:
-                deps.discard(vregion)
-                if not deps:
-                    del self._tr_deps[gpregion]
-
-    def _drop_translated_for_gpregion(self, gpregion: int) -> None:
-        for vregion in self._tr_deps.pop(gpregion, ()):
-            self.invalidation_gen += 1
-            self._translated.discard(vregion)
-            fwd = self._tr_fwd.pop(vregion, None)
-            if fwd is None:
-                continue
-            for other in fwd:
-                if other == gpregion:
-                    continue
-                deps = self._tr_deps.get(other)
-                if deps is not None:
-                    deps.discard(vregion)
-                    if not deps:
-                        del self._tr_deps[other]
 
     # ------------------------------------------------------------------
     # Counter maintenance (shared by table events)
@@ -294,14 +213,11 @@ class VMTranslationIndex:
         if table is self.guest:
             self._guest_target_removed(pregion)
             self._drop_classes(vregion)
-            self._drop_translated(vregion)
         else:
             self._host_huge_removed(vregion)
             self._drop_classes_for_gpregion(vregion)
-            self._drop_translated_for_gpregion(vregion)
 
     def promoted(self, table: PageTable, vregion: int, pregion: int) -> None:
-        # Promotion preserves every translation: the translated set keeps.
         if table is self.guest:
             self._live_drop(pregion, PAGES_PER_HUGE)
             self._guest_target_added(pregion)
@@ -311,7 +227,6 @@ class VMTranslationIndex:
             self._drop_classes_for_gpregion(vregion)
 
     def demoted(self, table: PageTable, vregion: int, pregion: int) -> None:
-        # Demotion preserves every translation: the translated set keeps.
         if table is self.guest:
             self._guest_target_removed(pregion)
             self._live_add(pregion, PAGES_PER_HUGE)
@@ -332,9 +247,8 @@ class VMTranslationIndex:
                 self._live_drop(pfn // PAGES_PER_HUGE)
                 self._live_add(new[vpn] // PAGES_PER_HUGE)
             self._drop_classes(vregion)
-            self._drop_translated(vregion)
-        # EPT remaps replace translations without removing any, and no
-        # classification input reads host frame numbers: nothing to do.
+        # No classification input reads host frame numbers, so an EPT
+        # remap invalidates nothing.
 
     def base_mapped_run(
         self, table: PageTable, vpn: int, pfn: int, count: int
@@ -367,8 +281,6 @@ class VMTranslationIndex:
             for gpregion, count in drops.items():
                 self._live_drop(gpregion, count)
             self._drop_classes(vregion)
-            self._drop_translated(vregion)
         else:
             for gpregion in {gpn // PAGES_PER_HUGE for gpn in mappings}:
                 self._drop_classes_for_gpregion(gpregion)
-                self._drop_translated_for_gpregion(gpregion)

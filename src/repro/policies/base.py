@@ -68,41 +68,22 @@ class HugePagePolicy:
         assert self.layer is not None
         return self.layer.alloc_huge_region()
 
-    def choose_base_frame(self, client: int, vpn: int) -> int | None:
-        """Pick and allocate the frame for a base fault; None for default.
-
-        Returning a frame transfers ownership: the policy must have
-        allocated it (e.g. via ``layer.memory.alloc_at``).  CA-paging and
-        Gemini's EMA implement their placement logic here.
-        """
-        return None
-
     def choose_base_frames(
         self, client: int, vpn: int, max_pages: int
-    ) -> tuple[int | None, int] | None:
-        """Batched :meth:`choose_base_frame` for the unmapped, same-region
-        run ``[vpn, vpn + max_pages)``.
+    ) -> tuple[int | None, int]:
+        """Place the first pages of the unmapped, same-region run ``[vpn,
+        vpn + max_pages)``; a base fault asks for a run of one page.
 
-        Must reproduce exactly what ``max_pages`` successive
-        ``choose_base_frame`` calls would decide, including side effects:
+        * ``(frame, count)`` — page ``vpn + i`` goes to ``frame + i`` for
+          the first *count* pages, and the policy has claimed those frames
+          (e.g. via ``layer.memory.alloc_range``);
+        * ``(None, count)`` — the first *count* pages take the default
+          allocator.
 
-        * ``(frame, count)`` — the serial path would have returned
-          ``frame + i`` for page ``vpn + i`` for the first *count* pages,
-          and those frames are now claimed;
-        * ``(None, count)`` — the serial path would have returned None for
-          the first *count* pages, with no placement side effects (the
-          caller default-allocates them);
-        * ``None`` — no batched equivalent is available: the caller must
-          fall back to one single-page ``choose_base_frame`` call.
-
-        The default is safe for any subclass: policies that keep the
-        default per-page placement (always None, no side effects) batch
-        trivially; policies that override :meth:`choose_base_frame` must
-        provide their own batched form or run page by page.
+        *count* is between 1 and *max_pages*.  The default places nothing;
+        CA-paging and Gemini's EMA place through offset descriptors.
         """
-        if type(self).choose_base_frame is HugePagePolicy.choose_base_frame:
-            return (None, max_pages)
-        return None
+        return (None, max_pages)
 
     # ------------------------------------------------------------------
     # Background daemon

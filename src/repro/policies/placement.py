@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.mem.buddy import AllocationError
 from repro.mem.layout import PAGES_PER_HUGE, huge_align_down, huge_align_up
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -160,50 +159,20 @@ class OffsetPlacer:
     # Main entry point
     # ------------------------------------------------------------------
 
-    def place(self, client: int, vpn: int) -> int | None:
-        """Allocate and return the frame for *vpn*, or None to use the
-        default allocator."""
-        bounds = self.range_of(client, vpn)
-        if bounds is None:
-            return None
-        vstart, vend = bounds
-        if vend - vstart < PAGES_PER_HUGE:
-            # The paper only applies the mechanism to VMAs larger than the
-            # huge page size.
-            return None
-        descriptor = self._lookup(client, vpn)
-        if descriptor is not None:
-            target = vpn - descriptor.offset
-            if self._claim(target):
-                return target
-            descriptor.misses += 1
-            if descriptor.misses <= self.miss_tolerance:
-                # Tolerate the conflict: let the default allocator place
-                # this one page; compaction pulls it back later.
-                return None
-            # Persistent conflict: re-anchor the remaining range (sub-VMA).
-            self._truncate(descriptor, vpn)
-            self.sub_vma_splits += 1
-        descriptor = self._anchor(client, vpn, vend)
-        if descriptor is None:
-            return None
-        target = vpn - descriptor.offset
-        if self._claim(target):
-            return target
-        return None
-
     def place_run(
         self, client: int, vpn: int, max_pages: int
     ) -> tuple[int | None, int]:
-        """Batched :meth:`place` for the unmapped run ``[vpn, vpn + max_pages)``
-        (all pages inside the virtual range enclosing *vpn*).
+        """Place the first pages of the unmapped run ``[vpn, vpn +
+        max_pages)``: ``(frame, count)`` when the first *count* pages go
+        to ``frame .. frame + count - 1`` (now claimed), or ``(None,
+        count)`` when they take the default allocator.
 
-        Returns ``(frame, count)`` when the serial path would have placed
-        the first *count* pages at ``frame .. frame + count - 1`` (now
-        claimed), or ``(None, count)`` when it would have returned None for
-        the first *count* pages without placement side effects.  Descriptor
-        bookkeeping (misses, truncation, anchoring) is applied exactly as
-        the per-page path would.
+        The run is cut where the enclosing virtual range or the
+        descriptor ends, or at the first target frame that cannot be
+        claimed.  A range under the huge-page size takes the default
+        allocator whole.  An occupied first target counts as a descriptor
+        miss and defers one page to the default allocator; past the
+        tolerance the rest of the range is re-anchored (sub-VMA).
         """
         bounds = self.range_of(client, vpn)
         if bounds is None:
@@ -224,7 +193,10 @@ class OffsetPlacer:
                 return (target, claimed)
             descriptor.misses += 1
             if descriptor.misses <= self.miss_tolerance:
+                # Tolerate the conflict: let the default allocator place
+                # this one page; compaction pulls it back later.
                 return (None, 1)
+            # Persistent conflict: re-anchor the remaining range (sub-VMA).
             self._truncate(descriptor, vpn)
             self.sub_vma_splits += 1
         descriptor = self._anchor(client, vpn, vend)
@@ -306,28 +278,14 @@ class OffsetPlacer:
     # Claiming
     # ------------------------------------------------------------------
 
-    def _claim(self, frame: int) -> bool:
-        if frame < 0 or frame >= self.layer.memory.total_pages:
-            return False
-        if self.claim_hook is not None and self.claim_hook(frame):
-            return True
-        if not self.layer.memory.is_free(frame):
-            return False
-        try:
-            self.layer.memory.alloc_at(frame, 0)
-        except (AllocationError, ValueError):
-            return False
-        return True
-
     def _claim_run(self, start: int, npages: int) -> int:
-        """Claim the maximal prefix of ``[start, start + npages)``, frame by
-        frame exactly as :meth:`_claim` would; returns the claimed count.
+        """Claim frames ``start, start + 1, ...``, at most *npages*, up to
+        the first one outside memory or claimable by neither source;
+        returns the claimed count.
 
-        Buddy-free stretches are claimed in one ``alloc_range`` call, which
-        leaves the free lists in the same (canonical) state as per-frame
-        ``alloc_at`` calls.  The hook-first probe order is preserved: frames
-        claimable through the hook (booked/bucketed regions) are already
-        allocated in the buddy, so the two sources are disjoint.
+        Each frame is offered to the claim hook first (booked/bucketed
+        regions, already allocated in the buddy), then to the buddy, which
+        hands out each free stretch in one ``alloc_range`` call.
         """
         memory = self.layer.memory
         total = memory.total_pages

@@ -164,13 +164,9 @@ class CAPagingPolicy(CoalescingPolicy):
         start = (vpn // chunk) * chunk
         return (start, start + chunk)
 
-    def choose_base_frame(self, client: int, vpn: int) -> int | None:
-        assert self._placer is not None
-        return self._placer.place(client, vpn)
-
     def choose_base_frames(
         self, client: int, vpn: int, max_pages: int
-    ) -> tuple[int | None, int] | None:
+    ) -> tuple[int | None, int]:
         assert self._placer is not None
         return self._placer.place_run(client, vpn, max_pages)
 

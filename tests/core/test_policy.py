@@ -228,6 +228,6 @@ def test_ablated_policy_uses_default_placement():
     policy = GeminiGuestPolicy()
     platform, vm = make_vm(policy)
     policy.bind(None, None)  # EMA/HB and bucket ablated
-    assert policy.choose_base_frame(PROCESS, 0) is None
+    assert policy.choose_base_frames(PROCESS, 0, 300) == (None, 300)
     assert not policy.wants_huge_fault(PROCESS, 99)  # no reserved regions
     assert policy.on_pressure() == 0

@@ -227,12 +227,7 @@ def four_class_setup():
     vm.gpa_space.alloc_range(base + 150, 20)
     vm.gpa_space.alloc_range(base + 600, 5)
     # Merge free page base+301 onto base+300's frame, as KSM would.
-    shared = ept.translate(base + 300)
-    duplicate = ept.unmap_base(base + 301)
-    host._drop_rmap(duplicate, vm.id, base + 301)
-    host.release_frame(duplicate)
-    ept.map_base(base + 301, shared)
-    host.add_frame_ref(shared)
+    host.merge_page(vm.id, base + 301, ept.translate(base + 300))
     return platform, vm
 
 

@@ -65,6 +65,47 @@ def test_touch_is_idempotent():
     assert vm.guest.ledger.count("base_fault") == 1
 
 
+#: change between two touches of a range -> (guest, host) faults the
+#: second touch takes
+RETOUCH_FAULTS = {
+    "none": (0, 0),
+    "half-touched": (PAGES_PER_HUGE, PAGES_PER_HUGE),
+    "guest-unmap": (2 * PAGES_PER_HUGE, 0),
+    "ept-unmap": (0, 1),
+    "host-demote": (0, 0),
+}
+
+
+@pytest.mark.parametrize("change", RETOUCH_FAULTS)
+def test_retouch_faults_only_what_is_missing(change):
+    """Re-touching a range faults exactly the translations removed since
+    the last touch, at each layer, and leaves every page translated."""
+    host_policy = HostHugePolicy() if change == "host-demote" else None
+    platform = make_platform(host_policy=host_policy)
+    vm = platform.create_vm(8 * PAGES_PER_HUGE, HugePagePolicy())
+    vma = vm.mmap(2 * PAGES_PER_HUGE, "heap")
+    first = PAGES_PER_HUGE if change == "half-touched" else vma.npages
+    platform.touch_range(vm, vma.start, first)
+    if change == "guest-unmap":
+        vm.munmap("heap")
+        vma = vm.mmap(2 * PAGES_PER_HUGE, "heap")
+    elif change == "ept-unmap":
+        platform.host.unmap_range(vm.id, vm.translate(vma.start), 1)
+    elif change == "host-demote":
+        gpregion = vm.translate(vma.start) // PAGES_PER_HUGE
+        assert platform.ept(vm).is_huge(gpregion)
+        platform.host.demote(vm.id, gpregion)
+    ledgers = (vm.guest.ledger, platform.host.ledger)
+    before = [ledger.count("base_fault") + ledger.count("huge_fault") for ledger in ledgers]
+    platform.touch_range(vm, vma.start, vma.npages)
+    assert tuple(
+        ledger.count("base_fault") + ledger.count("huge_fault") - count
+        for ledger, count in zip(ledgers, before)
+    ) == RETOUCH_FAULTS[change]
+    for vpn in range(vma.start, vma.end):
+        assert platform.host.translate(vm.id, vm.translate(vpn)) is not None
+
+
 def test_touch_vma_touches_slice():
     platform = make_platform()
     vm = platform.create_vm(8 * PAGES_PER_HUGE, HugePagePolicy())

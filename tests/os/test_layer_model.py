@@ -135,22 +135,18 @@ def apply_op(layer: MemoryLayer, model: Model, op, region, offset, span) -> None
                 layer.add_frame_ref(owned[0])
                 model.sharers[owned[0]] = model.sharers.get(owned[0], 0) + 1
         elif op == "ksm":
-            # KsmDaemon's merge: the second client's fresh page drops its
-            # own frame and maps the process's frame instead, which keeps
-            # its owner.  The merged page is never unmapped, so it holds
+            # A KSM merge: the second client's fresh page drops its own
+            # frame and maps the process's frame instead, which keeps its
+            # owner.  The merged page is never unmapped, so it holds
             # the frame like a sharer.
             owned = owned_frames(layer, region)
             if owned:
                 shared = owned[0]
                 gpn = model.merged
-                duplicate = layer.fault(MERGED, gpn)
+                layer.fault(MERGED, gpn)
                 model.merged += 1
-                merged = layer.table(MERGED)
-                assert merged.unmap_base(gpn) == duplicate
-                layer._drop_rmap(duplicate, MERGED, gpn)
-                layer.release_frame(duplicate)
-                merged.map_base(gpn, shared)
-                layer.add_frame_ref(shared)
+                layer.merge_page(MERGED, gpn, shared)
+                assert layer.translate(MERGED, gpn) == shared
                 model.sharers[shared] = model.sharers.get(shared, 0) + 1
         elif op == "release_client":
             layer.release_client(PROCESS)

@@ -131,6 +131,21 @@ def test_in_place_promotion_fails_on_scattered_frames():
     assert not layer.try_promote_in_place(0, 0)
 
 
+def test_in_place_promotion_refuses_a_ksm_shared_frame():
+    """As khugepaged refuses KSM pages: a huge mapping over a shared frame
+    would free it whole while another client still maps it."""
+    layer = make_layer(pages=4 * PAGES_PER_HUGE)
+    layer.fault_range(0, 0, PAGES_PER_HUGE)
+    assert layer.table(0).promotable(0) == 0
+    layer.fault(1, 0)
+    layer.merge_page(1, 0, 7)
+    assert not layer.try_promote_in_place(0, 0)
+    layer.unmap_range(0, 0, PAGES_PER_HUGE)
+    assert not layer.memory.is_free(7)
+    assert layer.translate(1, 0) == 7
+    assert layer.memory.free_pages == layer.memory.total_pages - 1
+
+
 def test_migration_promotion_copies_and_bloats():
     layer = make_layer()
     layer.memory.alloc_at(0, 0)  # force unaligned placement

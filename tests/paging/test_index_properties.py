@@ -8,8 +8,8 @@ on both tables:
   ``promotable`` answer it backs;
 * the Gemini guest policy's majority region, whose tie-break follows
   mapping order;
-* the :class:`VMTranslationIndex` alignment counters, live-region set,
-  classification cache and fully-translated set;
+* the :class:`VMTranslationIndex` alignment counters, live-region set
+  and classification cache;
 * the :class:`MemoryLayer` reverse map: frame owners, per-region owner
   counts and occupancy words.
 
@@ -79,15 +79,6 @@ def reference_live_set(guest: PageTable) -> set[int]:
     return live
 
 
-def reference_translated(guest: PageTable, ept: PageTable, vregion: int) -> bool:
-    start = vregion * PAGES_PER_HUGE
-    for vpn in range(start, start + PAGES_PER_HUGE):
-        gpn = guest.translate(vpn)
-        if gpn is None or ept.translate(gpn) is None:
-            return False
-    return True
-
-
 def check_index(
     policy: GeminiGuestPolicy,
     guest: PageTable,
@@ -108,8 +99,6 @@ def check_index(
     # Surviving cache entries must still describe the current tables.
     for vregion, cached in index._classes.items():
         assert cached == classify_region(guest, ept, vregion)
-    for vregion in index._translated:
-        assert reference_translated(guest, ept, vregion)
 
 
 #: One event: (layer, kind, region, offset/target, aux target).
@@ -119,8 +108,7 @@ EVENTS = st.lists(
         st.sampled_from(
             [
                 "map_base", "map_skewed", "unmap_base", "map_huge", "unmap_huge",
-                "promote", "demote", "remap", "fill_region",
-                "query_translated", "query_classes",
+                "promote", "demote", "remap", "fill_region", "query_classes",
             ]
         ),
         st.integers(min_value=0, max_value=V_REGIONS - 1),
@@ -164,7 +152,7 @@ def apply_event(guest, ept, index, layer, kind, region, offset, target):
                 table.remap_region(region, new)
         elif kind == "fill_region":
             # Densely map the whole region at one aligned offset so
-            # promote/translated paths are reachable from random data.
+            # promotion is reachable from random data.
             for o in range(PAGES_PER_HUGE):
                 v = region * PAGES_PER_HUGE + o
                 if table.translate(v) is None and not table.is_huge(region):
@@ -172,9 +160,6 @@ def apply_event(guest, ept, index, layer, kind, region, offset, target):
                         table.map_base(v, target * PAGES_PER_HUGE + o)
                     except MappingError:
                         pass
-        elif kind == "query_translated":
-            got = index.region_translated(region)
-            assert got == reference_translated(guest, ept, region)
         elif kind == "query_classes":
             cached = index.cached_classes(region)
             fresh = classify_region(guest, ept, region)
@@ -209,7 +194,7 @@ def test_index_bootstrap_matches_live_maintenance(events):
     ept = PageTable("ept")
     live = VMTranslationIndex(guest, ept)
     for layer, kind, region, offset, target in events:
-        if kind in ("query_translated", "query_classes"):
+        if kind == "query_classes":
             continue
         apply_event(guest, ept, live, layer, kind, region, offset, target)
     guest.index = ept.index = None
@@ -299,8 +284,6 @@ def table_pair_state(guest, ept, index):
         "report": index.report(),
         "live": index.live_set(),
         "classes": sorted(index._classes),
-        "gen": index.invalidation_gen,
-        "translated": [index.region_translated(r) for r in range(V_REGIONS)],
     }
 
 
@@ -329,7 +312,6 @@ def test_windowed_unmap_equals_per_page_unmaps(events, layer, pick, bounds):
         for event in events:
             apply_event(guest, ept, index, *event)
         for vregion in range(V_REGIONS):
-            index.region_translated(vregion)
             index.store_classes(vregion, classify_region(guest, ept, vregion))
         twins.append((guest, ept, index))
     (guest, ept, index), (ref_guest, ref_ept, ref_index) = twins

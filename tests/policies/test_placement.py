@@ -67,10 +67,12 @@ def test_placer_aligned_offsets_give_promotable_layout():
     vend = vstart + 2 * PAGES_PER_HUGE
     placer = OffsetPlacer(layer, align_huge=True, range_of=whole_space(vstart, vend))
     frames = {}
-    for vpn in range(vstart, vend):
-        frame = placer.place(0, vpn)
+    vpn = vstart
+    while vpn < vend:
+        frame, count = placer.place_run(0, vpn, vend - vpn)
         assert frame is not None
-        frames[vpn] = frame
+        frames.update((vpn + i, frame + i) for i in range(count))
+        vpn += count
     # Huge-aligned offset: vpn and frame agree modulo the region size.
     for vpn, frame in frames.items():
         assert vpn % PAGES_PER_HUGE == frame % PAGES_PER_HUGE
@@ -84,9 +86,8 @@ def test_placer_unaligned_mode_is_contiguous_not_aligned():
     vstart = PAGES_PER_HUGE + 17
     vend = vstart + PAGES_PER_HUGE
     placer = OffsetPlacer(layer, align_huge=False, range_of=whole_space(vstart, vend))
-    first = placer.place(0, vstart)
-    second = placer.place(0, vstart + 1)
-    assert first is not None and second == first + 1
+    first, count = placer.place_run(0, vstart, 2)
+    assert first is not None and count == 2
     # CA-style anchor: offset is not huge-aligned.
     assert vstart % PAGES_PER_HUGE != first % PAGES_PER_HUGE
 
@@ -94,7 +95,10 @@ def test_placer_unaligned_mode_is_contiguous_not_aligned():
 def test_placer_ignores_small_ranges():
     layer = make_layer()
     placer = OffsetPlacer(layer, align_huge=True, range_of=whole_space(0, 100))
-    assert placer.place(0, 5) is None
+    # The whole run takes the default allocator, and nothing is anchored.
+    assert placer.place_run(0, 5, 10) == (None, 10)
+    assert placer.place_run(0, 90, 50) == (None, 10)
+    assert placer.anchors == 0
 
 
 def test_placer_out_of_range_vpn():
@@ -102,7 +106,44 @@ def test_placer_out_of_range_vpn():
     placer = OffsetPlacer(
         layer, align_huge=True, range_of=whole_space(0, 2 * PAGES_PER_HUGE)
     )
-    assert placer.place(0, 10_000_000) is None
+    assert placer.place_run(0, 10_000_000, 8) == (None, 1)
+
+
+def test_placer_claims_a_run_in_one_call():
+    layer = make_layer()
+    placer = OffsetPlacer(
+        layer, align_huge=True, range_of=whole_space(0, 4 * PAGES_PER_HUGE)
+    )
+    assert placer.place_run(0, 0, PAGES_PER_HUGE) == (0, PAGES_PER_HUGE)
+    assert layer.memory.free_regions()[0][0] == PAGES_PER_HUGE
+    assert placer.anchors == 1
+
+
+def test_placer_run_stops_at_an_occupied_frame():
+    layer = make_layer()
+    placer = OffsetPlacer(
+        layer, align_huge=True, range_of=whole_space(0, 4 * PAGES_PER_HUGE)
+    )
+    assert placer.place_run(0, 0, 1) == (0, 1)
+    layer.memory.alloc_at(10, 0)
+    assert placer.place_run(0, 1, 100) == (1, 9)
+    # The occupied target itself is a miss: one page to the default.
+    assert placer.place_run(0, 10, 100) == (None, 1)
+    assert placer.place_run(0, 11, 100) == (11, 100)
+    assert placer.anchors == 1 and placer.sub_vma_splits == 0
+
+
+def test_placer_run_stops_at_its_descriptor_end():
+    layer = make_layer()
+    vend = 4 * PAGES_PER_HUGE
+    placer = OffsetPlacer(layer, align_huge=True, range_of=whole_space(0, vend))
+    placer.miss_tolerance = 0
+    assert placer.place_run(0, 0, 1) == (0, 1)
+    # A conflict at vpn 512 truncates the first descriptor to [0, 512).
+    layer.memory.alloc_at(PAGES_PER_HUGE, 0)
+    frame, _ = placer.place_run(0, PAGES_PER_HUGE, 1)
+    assert frame != PAGES_PER_HUGE and placer.sub_vma_splits == 1
+    assert placer.place_run(0, 100, vend) == (100, PAGES_PER_HUGE - 100)
 
 
 def test_placer_tolerates_single_conflicts():
@@ -111,12 +152,12 @@ def test_placer_tolerates_single_conflicts():
     layer = make_layer()
     vend = 4 * PAGES_PER_HUGE
     placer = OffsetPlacer(layer, align_huge=True, range_of=whole_space(0, vend))
-    assert placer.place(0, 0) == 0
+    assert placer.place_run(0, 0, 1) == (0, 1)
     layer.memory.alloc_at(5, 0)  # occupy the target of vpn 5
-    assert placer.place(0, 5) is None
+    assert placer.place_run(0, 5, 1) == (None, 1)
     assert placer.sub_vma_splits == 0
     # The descriptor survives: the next vpn still lands on its target.
-    assert placer.place(0, 6) == 6
+    assert placer.place_run(0, 6, 1) == (6, 1)
 
 
 def test_placer_sub_vma_reanchors_on_persistent_conflict():
@@ -124,12 +165,11 @@ def test_placer_sub_vma_reanchors_on_persistent_conflict():
     vend = 4 * PAGES_PER_HUGE
     placer = OffsetPlacer(layer, align_huge=True, range_of=whole_space(0, vend))
     placer.miss_tolerance = 0  # re-anchor on the first conflict
-    first = placer.place(0, 0)
-    assert first == 0
+    assert placer.place_run(0, 0, 1) == (0, 1)
     # Steal the frame vpn PAGES_PER_HUGE would map to, forcing a re-anchor.
     layer.memory.alloc_at(PAGES_PER_HUGE, 0)
-    frame = placer.place(0, PAGES_PER_HUGE)
-    assert frame is not None
+    frame, count = placer.place_run(0, PAGES_PER_HUGE, 1)
+    assert frame is not None and count == 1
     assert frame != PAGES_PER_HUGE
     assert placer.sub_vma_splits == 1
     # The new sub-VMA anchor still preserves huge alignment.
@@ -149,8 +189,7 @@ def test_placer_preferred_anchor_used_first():
         range_of=whole_space(0, 2 * PAGES_PER_HUGE),
         preferred_anchor=preferred,
     )
-    frame = placer.place(0, 0)
-    assert frame == target_region * PAGES_PER_HUGE
+    assert placer.place_run(0, 0, 1) == (target_region * PAGES_PER_HUGE, 1)
 
 
 def test_placer_claim_hook_overrides_buddy():
@@ -172,9 +211,8 @@ def test_placer_claim_hook_overrides_buddy():
         preferred_anchor=lambda c, v: 5,
         claim_hook=claim,
     )
-    frame = placer.place(0, 0)
-    assert frame == reserved
-    assert handed == [reserved]
+    assert placer.place_run(0, 0, 3) == (reserved, 3)
+    assert handed == [reserved, reserved + 1, reserved + 2]
 
 
 def test_placer_drop_client_forgets_descriptors():
@@ -182,7 +220,7 @@ def test_placer_drop_client_forgets_descriptors():
     placer = OffsetPlacer(
         layer, align_huge=True, range_of=whole_space(0, 2 * PAGES_PER_HUGE)
     )
-    placer.place(0, 0)
+    placer.place_run(0, 0, 1)
     placer.drop_client(0, 0, 2 * PAGES_PER_HUGE)
     assert placer._descriptors == []
 
@@ -199,8 +237,8 @@ def test_placer_move_to_front_lookup():
         return (lo, hi) if lo <= vpn < hi else None
 
     placer = OffsetPlacer(layer, align_huge=True, range_of=range_of)
-    placer.place(0, 0)
-    placer.place(1, 4 * PAGES_PER_HUGE)
+    placer.place_run(0, 0, 1)
+    placer.place_run(1, 4 * PAGES_PER_HUGE, 1)
     assert placer._descriptors[0].client == 1
-    placer.place(0, 1)
+    placer.place_run(0, 1, 1)
     assert placer._descriptors[0].client == 0

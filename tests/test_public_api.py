@@ -1,9 +1,11 @@
 """API-surface hygiene: the public package exports what the README
-documents, and every module carries a docstring."""
+documents, every module carries a docstring, and the layers keep to
+their public interfaces."""
 
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -72,3 +74,24 @@ def test_paper_systems_have_workloads_to_run():
 
     assert set(PAPER_SYSTEMS) <= set(SYSTEMS)
     assert len(TLB_SENSITIVE_SUITE) == 16
+
+
+#: The reverse map and the shared-frame references belong to
+#: ``MemoryLayer``; every other module goes through its methods.
+MM_PRIVATE = re.compile(
+    r"\b(_rmap|_rmap_huge|_frame_refs|_drop_rmap|_drop_rmap_region"
+    r"|_set_rmap|_set_rmap_run)\b"
+)
+
+
+def test_only_the_memory_layer_names_its_reverse_map():
+    package_dir = pathlib.Path(repro.__file__).parent
+    owner = package_dir / "os" / "mm.py"
+    offenders = [
+        f"{path.relative_to(package_dir)}:{lineno}: {line.strip()}"
+        for path in sorted(package_dir.rglob("*.py"))
+        if path != owner
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if MM_PRIVATE.search(line)
+    ]
+    assert offenders == []
