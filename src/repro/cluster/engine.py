@@ -18,12 +18,11 @@ is **fused** into one round-trip per worker: the controller decides the
 epoch's churn events up front — patching its own
 :class:`~repro.cluster.host.HostView` copies with the exact, locally
 computable effect of each arrival — and ships the event ops together
-with the step command as a single batch per worker.  Views come back as
-changed-field deltas, and per-epoch records stay spooled inside the
-workers, drained as one compressed blob every ``SPOOL_EPOCHS``.  Serial
-(``workers=1``, hosts in-process) and parallel runs of the same seed are
-bit-identical, because the controller makes every decision from the
-views alone.
+with the step command as a single batch per worker.  Each host step
+replies with its full view, its epoch records and, from a worker
+process, the worker's telemetry snapshot.  Serial (``workers=1``, hosts
+in-process) and parallel runs of the same seed are bit-identical,
+because the controller makes every decision from the views alone.
 
 When parallelism cannot win, the engine does not pay for it: fleets
 smaller than ``REPRO_MIN_PARALLEL`` hosts never spawn a pool (mirroring
@@ -45,16 +44,10 @@ from dataclasses import asdict, replace
 
 from repro import obs
 from repro.cluster.config import ClusterConfig
-from repro.cluster.host import Host, HostView, apply_view_delta
+from repro.cluster.host import Host, HostView
 from repro.cluster.migration import build_record, migrate_in, migrate_out
 from repro.cluster.placement import make_placement
-from repro.cluster.results import (
-    FleetResult,
-    HostEpochRecord,
-    TenantEpochRecord,
-    decode_records,
-    encode_records,
-)
+from repro.cluster.results import FleetResult
 from repro.cluster.trace import TraceEvent, build_trace
 from repro.exec.actors import ActorPool
 from repro.exec.cache import ResultCache, code_version
@@ -64,7 +57,6 @@ from repro.workloads import make_workload
 
 __all__ = [
     "MIN_PARALLEL_HOSTS",
-    "SPOOL_EPOCHS",
     "ClusterSimulation",
     "fleet_key",
     "run_cluster",
@@ -76,17 +68,12 @@ __all__ = [
 #: ``run_cells`` honours for cells).
 MIN_PARALLEL_HOSTS = 4
 
-#: Epochs a worker spools records for between bulk drains.  Sized so one
-#: drain (tens of records per host, compressed) dwarfs pipe latency
-#: while keeping worker memory bounded.
-SPOOL_EPOCHS = 8
-
 
 # ----------------------------------------------------------------------
 # Actor functions: run on the worker that owns the host.  Module-level so
 # the pool can pickle them by reference.  The ``_queue_*`` churn ops
 # return nothing (the controller already knows, or will learn from the
-# fused step's view delta), so they add no reply traffic.
+# fused step's view), so they add no reply traffic.
 # ----------------------------------------------------------------------
 
 
@@ -109,13 +96,27 @@ def _queue_resize_tenant(
     host.resize_tenant(ordinal, grow, fraction)
 
 
-def _act_refresh_view(host: Host) -> tuple:
-    return host.publish_view_payload()
+def _act_refresh_view(host: Host) -> HostView:
+    return host.summary()
 
 
-def _act_step_fused(host: Host, epoch: int) -> tuple:
+def _act_step_fused(host: Host, epoch: int, remote: bool) -> tuple:
+    """Step one host; reply ``(view, host_records, tenant_records,
+    telemetry)``.
+
+    A worker's telemetry snapshot rides every step reply, so the
+    controller holds all of it after each epoch.  In-process pools send
+    ``None``: they share the controller's registry, and snapshotting it
+    here would drain the controller's own telemetry into itself.
+    """
     host.step_epoch(epoch)
-    return host.publish_view_payload()
+    host_records, tenant_records = host.drain_records()
+    return (
+        host.summary(),
+        host_records,
+        tenant_records,
+        obs.snapshot() if remote else None,
+    )
 
 
 def _act_migrate_out_fused(
@@ -132,42 +133,6 @@ def _act_migrate_out_fused(
 def _act_migrate_in_fused(host: Host, payload: tuple, migration) -> HostView:
     tenant, state, runs = payload
     return migrate_in(host, tenant, state, runs, migration)
-
-
-def _drain_worker_spools(states: dict[int, Host], remote: bool) -> tuple:
-    """Per-worker epilogue: drain every owned host's record spool into
-    ONE encoded blob — records compress far better pooled than per host
-    (shared field names and layouts), and one transfer per worker beats
-    one per host.
-
-    The worker's telemetry snapshot piggybacks on the same reply
-    (``(records, obs_blob)``), so cross-process telemetry costs zero
-    extra round-trips.  In-process pools return ``None`` for the blob:
-    they already share the controller's registry, and snapshotting it
-    here would drain the controller's own telemetry into itself.
-    """
-    host_records = []
-    tenant_records = []
-    for index in sorted(states):
-        drained_hosts, drained_tenants = states[index].drain_records()
-        host_records.extend(drained_hosts)
-        tenant_records.extend(drained_tenants)
-    records = encode_records(host_records, tenant_records, compress=remote)
-    return records, obs.snapshot_blob() if remote else None
-
-
-def _reset_worker_obs(states: dict[int, Host]) -> None:
-    """Post-scatter epilogue: forked workers inherit the controller's
-    telemetry (fork copies the module singleton); start them from a clean
-    registry so spooled snapshots carry only worker-side data."""
-    obs.reset()
-    obs.clear_context()
-
-
-def _drain_worker_obs(states: dict[int, Host]) -> bytes | None:
-    """Retraction epilogue: detach whatever telemetry the worker still
-    holds before its process goes away."""
-    return obs.snapshot_blob()
 
 
 class ClusterSimulation:
@@ -206,9 +171,6 @@ class ClusterSimulation:
         #: hosts touched by arrivals, departures, resizes, migrations or
         #: state-changing steps are re-scored.
         self._scores: list[tuple | None] = [None] * self.config.hosts
-        #: Spooled record chunks awaiting an ordered merge, as
-        #: ``(host_records, tenant_records)`` per drained host.
-        self._spooled: list[tuple] = []
         #: Wire traffic per epoch (controller<->workers, both ways); all
         #: zeros for in-process runs.  Diagnostics, deliberately kept off
         #: the (serial==parallel comparable) FleetResult.
@@ -241,7 +203,6 @@ class ClusterSimulation:
         adaptive = config.adaptive_parallel
         pool = ActorPool(self._effective_workers(workers, adaptive))
         pool.scatter(self.hosts)
-        self._obs_reset_workers(pool)
         self.ipc_bytes_epochs = []
         with pool, obs.health.armed(config) as recorder:
             if recorder is not None:
@@ -254,7 +215,12 @@ class ClusterSimulation:
                 started = time.perf_counter()
                 obs.set_context(host=None, epoch=epoch)
                 with obs.span("fleet.epoch"):
-                    self._epoch_fused(pool, epoch)
+                    snapshots = self._epoch_fused(pool, epoch)
+                # Merged after the epoch span closes: a worker's spans
+                # are trace roots of their own, and merged inside they
+                # would adopt the controller's closed child spans.
+                for snapshot in snapshots:
+                    obs.merge(snapshot)
                 wall = time.perf_counter() - started
                 self.ipc_bytes_epochs.append(
                     pool.bytes_sent + pool.bytes_received - bytes_before
@@ -265,30 +231,14 @@ class ClusterSimulation:
                     and not pool.is_local
                     and self._parallel_cannot_win(pool, wall)
                 ):
-                    # Retraction discards the worker processes; pull
-                    # their telemetry home first or epoch 0 goes dark.
-                    self._obs_sweep_workers(pool)
+                    # The epoch's step replies already carried the
+                    # workers' telemetry home.
                     pool.retract()
             # Bring the final host states home so callers can inspect
-            # them the same way after serial and parallel runs.  The last
-            # spool drain already carried the workers' final telemetry.
+            # them the same way after serial and parallel runs.
             self.ipc_peer_bytes = pool.peer_bytes
             self.hosts = pool.gather()
         return self.result
-
-    def _obs_reset_workers(self, pool: ActorPool) -> None:
-        """One post-scatter round-trip (telemetry on, real pool only)."""
-        if obs.enabled() and not pool.is_local:
-            pool.submit([], each_worker=(_reset_worker_obs, ()))
-            pool.drain()
-
-    def _obs_sweep_workers(self, pool: ActorPool) -> None:
-        """Merge every worker's outstanding telemetry snapshot."""
-        if obs.enabled() and not pool.is_local:
-            pool.submit([], each_worker=(_drain_worker_obs, ()))
-            pool.drain()
-            for blob in pool.extras:
-                obs.merge_blob(blob)
 
     def _effective_workers(self, workers: int | None, adaptive: bool) -> int:
         workers = resolve_workers(workers)
@@ -322,7 +272,8 @@ class ClusterSimulation:
     # Fused protocol: one round-trip per worker per epoch
     # ------------------------------------------------------------------
 
-    def _epoch_fused(self, pool: ActorPool, epoch: int) -> None:
+    def _epoch_fused(self, pool: ActorPool, epoch: int) -> list:
+        """Run one epoch; returns the step replies' telemetry snapshots."""
         consolidation = self.config.consolidation
         consolidating = (
             consolidation.every > 0
@@ -369,7 +320,7 @@ class ClusterSimulation:
             # hosts know (freed frames, buddy contiguity), so the views
             # placement and consolidation are about to read must be
             # refreshed — one round-trip for all queued ops plus one
-            # view payload per touched host.
+            # view per touched host.
             self._flush(pool, ops)
             ops = []
         for event in arrivals:
@@ -383,35 +334,28 @@ class ClusterSimulation:
                 pool.drain()
                 ops = []
             self._consolidate(pool, epoch)
-        drain_spool = (
-            (epoch + 1) % SPOOL_EPOCHS == 0 or epoch == self.config.epochs - 1
-        )
-        step_args = (epoch,)
+        step_args = (epoch, not pool.is_local)
         for index in range(len(self.hosts)):
             ops.append((index, _act_step_fused, step_args))
-        pool.submit(
-            ops,
-            each_worker=(
-                (_drain_worker_spools, (not pool.is_local,))
-                if drain_spool
-                else None
-            ),
-        )
-        outputs = pool.drain()
-        for view_payload in outputs[len(ops) - len(self.hosts):]:
-            self._ingest_view(view_payload)
-        if drain_spool:
-            for records_payload, obs_blob in pool.extras:
-                self._spooled.append(decode_records(records_payload))
-                obs.merge_blob(obs_blob)
-            self._merge_spooled()
+        pool.submit(ops)
+        # Hosts step in index order, so appending each reply's records
+        # keeps the result epoch-major and host-minor.
+        snapshots = []
+        for view, host_records, tenant_records, snapshot in pool.drain()[
+            len(ops) - len(self.hosts):
+        ]:
+            self._set_view(view)
+            self.result.host_epochs.extend(host_records)
+            self.result.tenant_epochs.extend(tenant_records)
+            snapshots.append(snapshot)
+        return snapshots
 
     def _flush(self, pool: ActorPool, ops: list[tuple]) -> None:
         """Run queued ops and refresh the views of every touched host."""
         touched = sorted({index for index, _, _ in ops})
         pool.submit(ops + [(index, _act_refresh_view, ()) for index in touched])
-        for payload in pool.drain()[len(ops):]:
-            self._ingest_view(payload)
+        for view in pool.drain()[len(ops):]:
+            self._set_view(view)
 
     def _queue_arrival(
         self, event: TraceEvent, epoch: int, ops: list[tuple]
@@ -463,14 +407,6 @@ class ClusterSimulation:
             residents=tuple(sorted(view.residents + ((event.ordinal, 0),))),
         ))
 
-    def _ingest_view(self, payload: tuple) -> None:
-        if payload[0] == "full":
-            view = payload[1]
-        else:
-            _, index, mask, values = payload
-            view = apply_view_delta(self._views[index], mask, values)
-        self._set_view(view)
-
     def _set_view(self, view: HostView) -> None:
         """Install a host view, invalidating its cached consolidation
         score only if the view actually changed."""
@@ -478,27 +414,6 @@ class ClusterSimulation:
         if self._scores[index] is not None and view != self._views[index]:
             self._scores[index] = None
         self._views[index] = view
-
-    def _merge_spooled(self) -> None:
-        """Append drained records epoch-major, host-minor.
-
-        Hosts drain in index order and keep their records in generation
-        order, so a stable sort by ``(epoch, host)`` gives the same order
-        at every spool interval: epoch-major, host-minor, generation
-        order within.
-        """
-        if not self._spooled:
-            return
-        host_records: list[HostEpochRecord] = []
-        tenant_records: list[TenantEpochRecord] = []
-        for drained_hosts, drained_tenants in self._spooled:
-            host_records.extend(drained_hosts)
-            tenant_records.extend(drained_tenants)
-        self._spooled = []
-        host_records.sort(key=lambda record: (record.epoch, record.host))
-        tenant_records.sort(key=lambda record: (record.epoch, record.host))
-        self.result.host_epochs.extend(host_records)
-        self.result.tenant_epochs.extend(tenant_records)
 
     # ------------------------------------------------------------------
     # Consolidation (OpenStack-Neat-style: overload shedding, then

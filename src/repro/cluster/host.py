@@ -14,7 +14,7 @@ RNGs) lives inside the host and `random.Random` pickles its exact state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -32,7 +32,6 @@ __all__ = [
     "Host",
     "HostView",
     "Tenant",
-    "apply_view_delta",
     "resident_pages",
     "resident_runs",
 ]
@@ -123,29 +122,6 @@ class HostView:
         return 1.0 - self.free_pages / self.total_pages
 
 
-#: Fields a view delta may carry (``index`` identifies, never changes).
-#: Deltas address them by position — a bitmask and a value tuple — so no
-#: field-name strings ever cross the pipe.
-_VIEW_FIELDS = tuple(
-    f.name for f in fields(HostView) if f.name != "index"
-)
-
-
-def apply_view_delta(base: HostView, mask: int, values: tuple) -> HostView:
-    """Rebuild a full view from *base* plus a changed-fields delta.
-
-    Bit *i* of *mask* says field ``_VIEW_FIELDS[i]`` changed; *values*
-    holds the new values of exactly the set bits, in field order.
-    """
-    changed = {}
-    position = 0
-    for bit, name in enumerate(_VIEW_FIELDS):
-        if mask >> bit & 1:
-            changed[name] = values[position]
-            position += 1
-    return replace(base, **changed)
-
-
 class Host(HostStack):
     """A fleet host: the per-host stack, its tenants, and the views and
     records the controller reads."""
@@ -179,10 +155,6 @@ class Host(HostStack):
         # process) until the engine drains them.
         self._tenant_records: list[TenantEpochRecord] = []
         self._host_records: list[HostEpochRecord] = []
-        #: The last view shipped to the controller — the shared baseline
-        #: view deltas are encoded against.  Lives on the host so it
-        #: travels with it (worker processes, adaptive retraction).
-        self._view_baseline: HostView | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -252,40 +224,6 @@ class Host(HostStack):
                 else 0
             ),
         )
-
-    def publish_view(self) -> HostView:
-        """A full view for the controller, recorded as the new baseline.
-
-        Every view that crosses to the controller goes through here or
-        :meth:`publish_view_payload`, so the host-side baseline always
-        matches the last view the controller decoded — the invariant the
-        delta encoding rests on.
-        """
-        view = self.summary()
-        self._view_baseline = view
-        return view
-
-    def publish_view_payload(self) -> tuple:
-        """Encode the current view for the wire.
-
-        ``("full", view)`` on the first publish,
-        ``("d", index, mask, values)`` afterwards — only fields that
-        changed since the last published view travel, addressed by a
-        position bitmask rather than name strings, and the controller
-        rebuilds the full view with :func:`apply_view_delta`.
-        """
-        base = self._view_baseline
-        view = self.publish_view()
-        if base is None:
-            return ("full", view)
-        mask = 0
-        values = []
-        for bit, name in enumerate(_VIEW_FIELDS):
-            value = getattr(view, name)
-            if value != getattr(base, name):
-                mask |= 1 << bit
-                values.append(value)
-        return ("d", view.index, mask, tuple(values))
 
     def drain_records(self) -> tuple[list[HostEpochRecord], list[TenantEpochRecord]]:
         host_records, self._host_records = self._host_records, []

@@ -135,9 +135,7 @@ def migrate_out(
             raise MigrationInvariantError(
                 f"host{host.index}: vm{vm.id}'s source frames were not freed"
             )
-    # Migrations are rare: ship a full view, which also re-baselines the
-    # host's delta encoding for the next fused step.
-    return tenant, state, runs, schedule, host.publish_view()
+    return tenant, state, runs, schedule, host.summary()
 
 
 def migrate_in(
@@ -168,7 +166,7 @@ def migrate_in(
         layer.fault_range(vm.id, start, count)
     if config.check_invariants:
         _check_destination(host, tenant, runs)
-    return host.publish_view()
+    return host.summary()
 
 
 def _check_destination(

@@ -11,8 +11,6 @@ throughput/latency.
 
 from __future__ import annotations
 
-import pickle
-import zlib
 from dataclasses import dataclass, field
 
 from repro.metrics.alignment import AlignmentReport
@@ -23,49 +21,7 @@ __all__ = [
     "HostEpochRecord",
     "MigrationRecord",
     "TenantEpochRecord",
-    "decode_records",
-    "encode_records",
 ]
-
-
-# ----------------------------------------------------------------------
-# Record spool wire format
-# ----------------------------------------------------------------------
-#
-# Workers accumulate their hosts' epoch records locally and drain them in
-# bulk every ``SPOOL_EPOCHS`` epochs — the controller never reads
-# records mid-run, so per-epoch record traffic is pure waste.  A drain is
-# one compressed blob per host: records compress extremely well (repeated
-# dataclass field names, near-identical numeric layouts), and one big
-# transfer amortises the pipe latency that dominated the per-epoch
-# protocol.  ``compress=False`` is the in-process path: no pipe, no
-# encode.
-
-
-def encode_records(
-    host_records: list["HostEpochRecord"],
-    tenant_records: list["TenantEpochRecord"],
-    compress: bool = True,
-) -> tuple:
-    """Pack one drained spool for the wire."""
-    if not compress:
-        return ("raw", host_records, tenant_records)
-    blob = zlib.compress(
-        pickle.dumps(
-            (host_records, tenant_records), pickle.HIGHEST_PROTOCOL
-        ),
-        6,
-    )
-    return ("zlib", blob)
-
-
-def decode_records(
-    payload: tuple,
-) -> tuple[list["HostEpochRecord"], list["TenantEpochRecord"]]:
-    """Unpack one spool drained by :func:`encode_records`."""
-    if payload[0] == "raw":
-        return payload[1], payload[2]
-    return pickle.loads(zlib.decompress(payload[1]))
 
 
 @dataclass

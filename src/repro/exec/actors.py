@@ -20,12 +20,6 @@ pool ships **one fused message per worker**, then decodes worker replies
 in arrival order while the stragglers are still computing.  ``apply``
 and ``map`` are thin wrappers over one submit/drain cycle.
 
-A batch may carry one *per-worker epilogue* (``each_worker``): a
-function every worker runs once over its whole state dict after the
-batch, with the per-worker returns collected in :attr:`ActorPool.extras`.
-Aggregations over many states (draining spooled records, say) thus cross
-the pipe as one blob per worker instead of one per state.
-
 ``transfer`` separates the data plane from the control plane: moving a
 payload from one state to another (a live-migrating VM, say) ships the
 bulk bytes over a direct worker-to-worker pipe — or hands the object
@@ -39,20 +33,20 @@ Wire format: every message and reply is an explicit
 ``pickle.dumps(..., pickle.HIGHEST_PROTOCOL)`` blob moved with
 ``send_bytes``/``recv_bytes``, so the pool can count the exact bytes
 crossing the pipes (``bytes_sent``/``bytes_received``) and callers can
-measure per-step IPC traffic.  Blobs above
-:data:`WIRE_COMPRESS_THRESHOLD` are zlib-compressed when that makes them
-smaller (a one-byte marker keeps small messages overhead-free); byte
-counters always report what actually crossed the pipe.  Each reply
-carries the worker's compute seconds for the batch; ``drain_window``
-collects per-drain :class:`DrainStats` so callers can compare IPC
-overhead against compute and call :meth:`ActorPool.retract` — pull every
-state back in-process and continue locally — when parallelism cannot
-win.
+measure per-step IPC traffic.  Each reply carries the worker's compute
+seconds for the batch; ``drain_window`` collects per-drain
+:class:`DrainStats` so callers can compare IPC overhead against compute
+and call :meth:`ActorPool.retract` — pull every state back in-process
+and continue locally — when parallelism cannot win.
 
 Serial fallback is built in: with ``workers <= 1``, or when the sandbox
 cannot fork, the pool keeps the states in-process and calls the
 functions directly on them.  Both modes run the *same* caller code;
 parallelism only changes where the mutation happens.
+
+A forked worker starts from an empty :mod:`repro.obs` registry (fork
+copies the parent's), so whatever telemetry a worker hands back holds
+only what it collected itself.
 
 Functions passed to the pool must be module-level (they are pickled by
 reference) and take the state as their first argument.  Exceptions
@@ -68,19 +62,13 @@ import multiprocessing
 import pickle
 import time
 import traceback
-import zlib
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 
+from repro import obs
 from repro.exec.pool import resolve_workers
-from repro.obs import current_context
 
-__all__ = ["ActorPool", "DrainStats", "WIRE_COMPRESS_THRESHOLD"]
-
-#: Smallest pickle worth attempting wire compression on.  Steady-state
-#: command/reply blobs sit well below this and skip the zlib call; the
-#: big wins are bulk payloads (migrating VM graphs, record spools).
-WIRE_COMPRESS_THRESHOLD = 512
+__all__ = ["ActorPool", "DrainStats"]
 
 
 @dataclass(frozen=True)
@@ -104,34 +92,9 @@ class DrainStats:
         """The batch's critical path: the slowest worker's compute."""
         return max(self.computes) if self.computes else 0.0
 
-    @property
-    def overhead(self) -> float:
-        """Wall-clock not explained by compute: IPC, pickling, waiting."""
-        return self.wall - self.ideal_parallel
-
 
 def _dumps(obj) -> bytes:
     return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-
-
-def _encode_wire(blob: bytes) -> bytes:
-    """Frame one pickle for the pipe: ``\\x00`` raw or ``\\x01`` zlib.
-
-    Compression is attempted only above the threshold and kept only when
-    it actually shrinks the blob, so small messages pay exactly one
-    marker byte and incompressible ones never regress.
-    """
-    if len(blob) > WIRE_COMPRESS_THRESHOLD:
-        packed = zlib.compress(blob, 1)
-        if len(packed) < len(blob):
-            return b"\x01" + packed
-    return b"\x00" + blob
-
-
-def _decode_wire(data: bytes) -> bytes:
-    if data[:1] == b"\x01":
-        return zlib.decompress(data[1:])
-    return data[1:]
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -148,7 +111,7 @@ def _portable_exception(exc: BaseException) -> BaseException:
     fleet failure is attributable without re-running serially.
     """
     note = "worker traceback:\n" + traceback.format_exc()
-    host, epoch = current_context()
+    host, epoch = obs.current_context()
     if host is not None or epoch is not None:
         note = f"worker context: host={host} epoch={epoch}\n" + note
     try:
@@ -168,9 +131,11 @@ def _worker_main(
     peers: dict[int, Connection],
 ) -> None:
     """Child process loop: execute fused op batches against owned states."""
+    obs.reset()
+    obs.clear_context()
     while True:
         try:
-            message = pickle.loads(_decode_wire(conn.recv_bytes()))
+            message = pickle.loads(conn.recv_bytes())
         except EOFError:  # parent went away
             return
         if message is None:
@@ -182,11 +147,7 @@ def _worker_main(
                 results = [
                     fn(states[index], *args) for index, fn, args in message[1]
                 ]
-                extra = None
-                if message[2] is not None:
-                    each_fn, each_args = message[2]
-                    extra = each_fn(states, *each_args)
-                payload = ("ok", results, extra, time.perf_counter() - started)
+                payload = ("ok", results, None, time.perf_counter() - started)
             elif kind == "xfer_out":
                 _, index, fn, args, dst = message
                 try:
@@ -194,18 +155,16 @@ def _worker_main(
                 except BaseException:
                     # Unblock the destination before reporting the
                     # failure, or it would wait on the peer pipe forever.
-                    peers[dst].send_bytes(_encode_wire(_dumps(("err",))))
+                    peers[dst].send_bytes(_dumps(("err",)))
                     raise
-                blob = _encode_wire(_dumps(("ok", peer_payload)))
+                blob = _dumps(("ok", peer_payload))
                 peers[dst].send_bytes(blob)
                 payload = (
                     "ok", [reply], len(blob), time.perf_counter() - started
                 )
             elif kind == "xfer_in":
                 _, index, fn, args, src = message
-                peer_msg = pickle.loads(
-                    _decode_wire(peers[src].recv_bytes())
-                )
+                peer_msg = pickle.loads(peers[src].recv_bytes())
                 if peer_msg[0] == "err":
                     raise RuntimeError("transfer source failed")
                 reply = fn(states[index], peer_msg[1], *args)
@@ -239,7 +198,7 @@ def _worker_main(
             blob = _dumps(payload)
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
             blob = _dumps(("err", _portable_exception(exc)))
-        conn.send_bytes(_encode_wire(blob))
+        conn.send_bytes(blob)
 
 
 class ActorPool:
@@ -263,10 +222,6 @@ class ActorPool:
         #: :meth:`transfer` — the data plane, which never transits (or
         #: serialises on) the parent.
         self.peer_bytes = 0
-        #: Per-worker epilogue returns of the last drained batch, in
-        #: worker-slot order (one entry for a local pool); empty when the
-        #: batch carried no ``each_worker``.
-        self.extras: list = []
         #: Per-drain timing, appended by every drain; callers own the
         #: window (clear it, read it) to implement adaptive fallback.
         self.drain_window: list[DrainStats] = []
@@ -357,7 +312,7 @@ class ActorPool:
     def close(self) -> None:
         for conn in self._conns:
             try:
-                conn.send_bytes(_encode_wire(_dumps(None)))
+                conn.send_bytes(_dumps(None))
                 conn.close()
             except OSError:
                 pass
@@ -379,14 +334,14 @@ class ActorPool:
     # ------------------------------------------------------------------
 
     def _send(self, conn: Connection, message) -> None:
-        data = _encode_wire(_dumps(message))
+        data = _dumps(message)
         self.bytes_sent += len(data)
         conn.send_bytes(data)
 
     def _recv(self, conn: Connection):
         data = conn.recv_bytes()
         self.bytes_received += len(data)
-        payload = pickle.loads(_decode_wire(data))
+        payload = pickle.loads(data)
         if payload[0] == "err":
             raise payload[1]
         return payload[1], payload[2], payload[3]
@@ -395,26 +350,18 @@ class ActorPool:
     # Calls
     # ------------------------------------------------------------------
 
-    def submit(
-        self, ops: list[tuple], each_worker: tuple | None = None
-    ) -> None:
+    def submit(self, ops: list[tuple]) -> None:
         """Stage one batch of ``(index, fn, args)`` ops.
 
         One fused message per worker that owns any of the ops; several
         ops may target the same state and run in batch order.  Exactly
         one :meth:`drain` must follow before the next submit.
-
-        *each_worker* — optional ``(fn, args)`` epilogue every worker
-        runs once, after its ops, as ``fn(states, *args)`` over its whole
-        ``{index: state}`` dict; the per-worker returns land in
-        :attr:`extras` (worker-slot order) at drain time.  Workers with
-        no ops in the batch still run the epilogue.
         """
         if self._pending is not None:
             raise RuntimeError("submit while a previous batch is undrained")
         self._pending_started = time.perf_counter()
         if self._local is not None:
-            self._pending = ("local", list(ops), each_worker)
+            self._pending = ("local", list(ops))
             return
         batches: list[list] = [[] for _ in self._conns]
         positions: list[list[int]] = [[] for _ in self._conns]
@@ -424,12 +371,10 @@ class ActorPool:
             positions[slot].append(position)
         sent: list[int] = []
         for slot, (conn, batch) in enumerate(zip(self._conns, batches)):
-            if batch or each_worker is not None:
-                self._send(conn, ("batch", batch, each_worker))
+            if batch:
+                self._send(conn, ("batch", batch))
                 sent.append(slot)
-        self._pending = (
-            "remote", positions, len(ops), sent, each_worker is not None
-        )
+        self._pending = ("remote", positions, len(ops), sent)
 
     def drain(self) -> list:
         """Results of the pending batch, in op order.
@@ -441,25 +386,18 @@ class ActorPool:
         if self._pending is None:
             raise RuntimeError("drain without a pending submit")
         pending, self._pending = self._pending, None
-        self.extras = []
         if pending[0] == "local":
-            _, ops, each_worker = pending
             started = time.perf_counter()
             results = [
-                fn(self._local[index], *args) for index, fn, args in ops
+                fn(self._local[index], *args) for index, fn, args in pending[1]
             ]
-            if each_worker is not None:
-                each_fn, each_args = each_worker
-                states = dict(enumerate(self._local))
-                self.extras = [each_fn(states, *each_args)]
             compute = time.perf_counter() - started
             self.drain_window.append(
                 DrainStats(wall=compute, computes=(compute,))
             )
             return results
-        _, positions, count, sent, has_epilogue = pending
+        _, positions, count, sent = pending
         results: list = [None] * count
-        extras: dict[int, object] = {}
         computes: list[float] = []
         waiting = {self._conns[slot]: slot for slot in sent}
         failure: BaseException | None = None
@@ -467,18 +405,15 @@ class ActorPool:
             for conn in wait(list(waiting)):
                 slot = waiting.pop(conn)
                 try:
-                    payload, extra, seconds = self._recv(conn)
+                    payload, _, seconds = self._recv(conn)
                 except BaseException as exc:  # noqa: BLE001 - keep draining
                     # Drain the remaining workers before raising, so the
                     # pipes stay aligned for the caller's next batch.
                     failure = failure or exc
                     continue
                 computes.append(seconds)
-                extras[slot] = extra
                 for position, result in zip(positions[slot], payload):
                     results[position] = result
-        if has_epilogue:
-            self.extras = [extras[slot] for slot in sorted(extras)]
         self.drain_window.append(
             DrainStats(
                 wall=time.perf_counter() - self._pending_started,

@@ -25,7 +25,6 @@ __all__ = [
     "format_fleet_summary",
     "telemetry_series_to_csv",
     "format_critical_path",
-    "format_histograms",
     "format_health_summary",
     "format_run_diff",
 ]
@@ -267,28 +266,6 @@ def format_critical_path(report, n: int = 4) -> str:
         lines.append(
             f"  {share * 100:5.1f}%  {name}  "
             f"({stat['self_s'] * 1e3:.2f} ms over {int(stat['count'])} spans)"
-        )
-    return "\n".join(lines)
-
-
-def format_histograms(summary: Mapping[str, Mapping[str, float]],
-                      n: int = 8) -> str:
-    """Markdown table of histogram quantiles.
-
-    *summary* is :meth:`repro.obs.Telemetry.histogram_summary` output.
-    """
-    if not summary:
-        return "no histograms recorded"
-    lines = [
-        "| histogram | count | mean | p50 | p95 | p99 | max |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for name in sorted(summary)[:n]:
-        stat = summary[name]
-        lines.append(
-            f"| {name} | {int(stat['count'])} | {stat['mean']:.4g} "
-            f"| {stat['p50']:.4g} | {stat['p95']:.4g} "
-            f"| {stat['p99']:.4g} | {stat['max']:.4g} |"
         )
     return "\n".join(lines)
 

@@ -20,11 +20,10 @@ Instrumented code does not guard its own emissions::
         ...
     obs.emit("booking.book", region=pregion)
 
-Cross-process: ActorPool workers inherit the enabled singleton via
-fork; the cluster engine resets worker telemetry after scatter, workers
-accumulate locally, and their pickled snapshots ride the fused-epoch
-spool back to the controller, which merges them into one fleet-wide
-view (see docs/OBSERVABILITY.md).
+Cross-process: an ActorPool worker resets the registry it inherits by
+fork, accumulates locally, and hands a :func:`snapshot` back with every
+fleet host step; the controller folds each one in with :func:`merge`
+into one fleet-wide view (see docs/OBSERVABILITY.md).
 
 Environment variables (read by :func:`configure_from_env`):
 
@@ -37,8 +36,6 @@ Environment variables (read by :func:`configure_from_env`):
 from __future__ import annotations
 
 import os
-import pickle
-import zlib
 
 from repro.obs import analyze, export, health
 from repro.obs.clock import Clock, ManualClock
@@ -76,8 +73,8 @@ __all__ = [
     "configure_from_env",
     "trace_out_dir",
     "set_trace_out_dir",
-    "snapshot_blob",
-    "merge_blob",
+    "snapshot",
+    "merge",
     "export",
     "analyze",
     "health",
@@ -151,7 +148,7 @@ def reset() -> Telemetry | None:
     """Replace the active registry with a fresh one (same shape).
 
     Used in forked workers to discard telemetry inherited from the
-    controller so spooled snapshots carry only worker-side data.
+    controller so their snapshots carry only worker-side data.
     No-op when disabled.
     """
     global _active
@@ -161,6 +158,7 @@ def reset() -> Telemetry | None:
         capacity=_active.ring.capacity,
         sample=1.0 / _active.ring.stride,
         clock=_active.clock,
+        span_capacity=_active.span_capacity,
     )
     return _active
 
@@ -236,26 +234,17 @@ def configure_from_env(environ=os.environ) -> Telemetry | None:
     return _active
 
 
-def snapshot_blob(reset: bool = True) -> bytes | None:
-    """Pickle+compress the active registry's snapshot; None if disabled.
-
-    This is the payload workers append to the fused-epoch spool drain;
-    the controller feeds it to :func:`merge_blob`.
-    """
+def snapshot() -> TelemetrySnapshot | None:
+    """Detach the active registry's data (:meth:`Telemetry.snapshot`);
+    None if disabled.  A worker's snapshot rides its fleet step reply to
+    the controller, which feeds it to :func:`merge`."""
     active = _active
-    if active is None:
-        return None
-    return zlib.compress(
-        pickle.dumps(active.snapshot(reset=reset),
-                     protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    return active.snapshot() if active is not None else None
 
 
-def merge_blob(blob: bytes | None) -> None:
-    """Merge a worker's :func:`snapshot_blob` payload; tolerant of None."""
-    if blob is None:
-        return
+def merge(snapshot: TelemetrySnapshot | None) -> None:
+    """Fold a worker's :func:`snapshot` into the active registry;
+    tolerant of None on either side."""
     active = _active
-    if active is None:
-        return
-    active.merge(pickle.loads(zlib.decompress(blob)))
+    if snapshot is not None and active is not None:
+        active.merge(snapshot)

@@ -247,9 +247,9 @@ class HealthMonitor:
     tracing is enabled).  Findings are emitted as ``health.<rule>``
     events appended to the same ring, with a *separate* per-host
     sequence space so the underlying streams keep their deterministic
-    numbering.  Workers never carry a monitor — ``obs.reset()`` after
-    scatter drops it — so rules run exactly once, at the controller,
-    over each host's stream in its canonical order.
+    numbering.  Workers never carry a monitor — the ``obs.reset()`` a
+    worker starts with drops it — so rules run exactly once, at the
+    controller, over each host's stream in its canonical order.
     """
 
     def __init__(self, rules: tuple | None = None) -> None:

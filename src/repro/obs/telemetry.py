@@ -11,8 +11,8 @@ facade owns the singleton).  It collects four kinds of data:
   disabled (worker exception notes use it for attribution).
 
 Everything is cheaply serialisable: :meth:`Telemetry.snapshot` detaches
-the collected data as a :class:`TelemetrySnapshot` which workers pickle
-into the fused-epoch spool and the controller folds back in with
+the collected data as a :class:`TelemetrySnapshot` which a worker sends
+back with each fleet host step and the controller folds back in with
 :meth:`Telemetry.merge`.
 """
 
@@ -154,7 +154,7 @@ class Telemetry:
         self.spans_dropped = 0
         self.ring = EventRing(capacity, sample)
         #: Per-host event sequence counters; survive snapshot resets so
-        #: spool drains continue each host's sequence where it left off.
+        #: each snapshot continues a host's sequence where it left off.
         self._seqs: dict[int | None, int] = {}
         #: Optional online consumer of the event stream (a
         #: :class:`repro.obs.health.HealthMonitor`).  Fed every buffered
@@ -286,7 +286,7 @@ class Telemetry:
     # -- snapshots -----------------------------------------------------
 
     def snapshot(self, reset: bool = True) -> TelemetrySnapshot:
-        """Detach collected data for spooling to the controller.
+        """Detach collected data for sending to the controller.
 
         With ``reset`` (the default) the metrics, spans and buffered
         events are cleared; sequence and sampling counters are *kept* so
@@ -316,8 +316,8 @@ class Telemetry:
             self._span_stats.clear()
             self._span_trace.clear()
             self.spans_dropped = 0
-            # Volume counters are per-interval so repeated spool merges
-            # add cleanly; the sampling stride counters are kept.
+            # Volume counters are per-interval so repeated merges add
+            # cleanly; the sampling stride counters are kept.
             self.ring.emitted = 0
             self.ring.sampled = 0
             self.ring.dropped = 0

@@ -12,7 +12,6 @@ from repro.cluster import (
     fleet_key,
     run_cluster,
 )
-from repro.cluster import engine as cluster_engine
 from repro.cluster.config import ConsolidationConfig, MigrationConfig
 from repro.exec import ResultCache
 
@@ -67,18 +66,6 @@ def test_serial_and_parallel_runs_are_identical(monkeypatch):
     assert serial == parallel
 
 
-@pytest.mark.parametrize("spool", [1, 3, 100])
-def test_parallel_identical_across_spool_intervals(monkeypatch, spool):
-    # Spool drains must splice records back in epoch-major order at every
-    # drain boundary, and view deltas must reconstruct exact views.
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    serial = ClusterSimulation(SMALL).run(workers=1)
-    monkeypatch.setattr(cluster_engine, "SPOOL_EPOCHS", spool)
-    config = replace(SMALL, adaptive_parallel=False)
-    parallel = ClusterSimulation(config).run(workers=2)
-    assert serial == parallel
-
-
 def test_tiny_fleet_never_spawns_a_pool(monkeypatch):
     # Three hosts sit under the parallel threshold: even an explicit
     # worker request degrades to the in-process pool.
@@ -103,24 +90,6 @@ def test_parallel_run_counts_ipc_bytes(monkeypatch):
     if len(sim.ipc_bytes_epochs) != SMALL.epochs:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
     assert sim.ipc_bytes_per_epoch > 0.0
-
-
-def test_view_delta_reconstructs_summaries():
-    from repro.cluster.host import Host, apply_view_delta
-    from repro.workloads import make_workload
-
-    host = Host(0, replace(SMALL, hosts=1))
-    view = host.publish_view()
-    assert view == host.summary()
-    host.add_tenant(0, 64, make_workload("Redis"), epoch=0)
-    kind, *payload = host.publish_view_payload()
-    assert kind == "d"
-    index, mask, values = payload
-    assert index == host.index and mask != 0
-    assert apply_view_delta(view, mask, values) == host.summary()
-    # A quiet host publishes an empty delta, not a full view.
-    kind2, _, mask2, values2 = host.publish_view_payload()
-    assert kind2 == "d" and mask2 == 0 and values2 == ()
 
 
 def test_consolidation_migrates_and_records():

@@ -1,10 +1,10 @@
 """Tests for the sticky-state actor pool."""
 
-import pickle
-
 import pytest
 
+from repro import obs
 from repro.exec.actors import ActorPool
+from repro.obs import Clock, Telemetry
 
 
 def bump(state, amount):
@@ -38,10 +38,6 @@ def boom_wont_unpickle(state):
     raise PicklesButWontUnpickle("bad", "news")
 
 
-def total(states, factor):
-    return sum(state["n"] for state in states.values()) * factor
-
-
 def blob_out(state, size):
     state["sent"] = True
     return bytes(size), state.get("n")
@@ -50,6 +46,11 @@ def blob_out(state, size):
 def blob_in(state, payload, tag):
     state["got"] = (len(payload), tag)
     return state["got"]
+
+
+def worker_telemetry(state):
+    active = obs.get()
+    return dict(active.counters), len(active.events())
 
 
 def _states(count=3):
@@ -161,20 +162,6 @@ def test_submit_requires_drain_between_batches(workers):
             pool.drain()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_each_worker_epilogue_collects_extras(workers):
-    with ActorPool(workers) as pool:
-        pool.scatter(_states())
-        pool.submit([(1, bump, (5,))], each_worker=(total, (2,)))
-        assert pool.drain() == [15]
-        # Sum over every state (0 + 15 + 20) * 2, split across however
-        # many workers own states.
-        assert sum(pool.extras) == 70
-        pool.submit([(0, read, ())])
-        pool.drain()
-        assert pool.extras == []  # no epilogue on this batch
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_transfer_moves_payload_and_returns_both_replies(workers):
     # workers=3 puts states 0 and 2 on different slots, workers=2 puts
@@ -223,6 +210,23 @@ def test_retract_pulls_states_home_and_continues_locally():
         assert pool.gather() == [{"n": 7}, {"n": 10}, {"n": 20}]
 
 
+def test_forked_worker_starts_with_empty_telemetry():
+    # Fork copies the parent's registry; a worker must not hand the
+    # parent's own counters and events back as its own.
+    obs.enable(Telemetry(clock=Clock(wall=lambda: 0.0)))
+    try:
+        obs.count("parent.calls")
+        obs.emit("parent.event")
+        with ActorPool(2) as pool:
+            pool.scatter(_states())
+            if pool.is_local:  # pragma: no cover - forkless sandbox
+                pytest.skip("sandbox cannot fork")
+            assert pool.apply(worker_telemetry, 0) == ({}, 0)
+    finally:
+        obs.disable()
+        obs.clear_context()
+
+
 def test_byte_counters_track_parallel_traffic_only():
     with ActorPool(1) as local:
         local.scatter(_states())
@@ -234,19 +238,6 @@ def test_byte_counters_track_parallel_traffic_only():
             pytest.skip("sandbox cannot fork")
         pool.map(bump, [(1,)] * 3)
         assert pool.bytes_sent > 0 and pool.bytes_received > 0
-
-
-def test_large_messages_are_compressed_on_the_wire():
-    compressible = bytes(1 << 20)  # a megabyte of zeros
-    with ActorPool(2) as pool:
-        pool.scatter(_states())
-        if pool.is_local:  # pragma: no cover - forkless sandbox
-            pytest.skip("sandbox cannot fork")
-        pool.apply(bump, 0, 1)
-        baseline = pool.bytes_sent
-        pool.apply(blob_in, 0, compressible, "tag")
-        raw = len(pickle.dumps(compressible, pickle.HIGHEST_PROTOCOL))
-        assert pool.bytes_sent - baseline < raw / 10
 
 
 def test_unpicklable_worker_exception_surfaces_instead_of_hanging():

@@ -11,9 +11,9 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterConfig, ClusterSimulation
-from repro.cluster import engine as cluster_engine
 from repro.cluster.config import MigrationConfig
 from repro.obs import Clock, Telemetry
+from repro.obs.analyze import build_span_trees
 
 SMALL = ClusterConfig(
     hosts=3,
@@ -86,10 +86,9 @@ def test_serial_and_parallel_event_streams_match(monkeypatch):
 
 
 def test_sampled_streams_match_across_layouts(monkeypatch):
-    # Stride sampling is per (kind, host) stream and survives spool
+    # Stride sampling is per (kind, host) stream and survives snapshot
     # resets, so even a sampled log is layout-independent.
     monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    monkeypatch.setattr(cluster_engine, "SPOOL_EPOCHS", 2)
     config = replace(SMALL, adaptive_parallel=False)
     _, serial_events, _ = _run(config, workers=1, sample=0.5)
     _, parallel_events, forked = _run(config, workers=2, sample=0.5)
@@ -98,6 +97,29 @@ def test_sampled_streams_match_across_layouts(monkeypatch):
     assert _by_host(parallel_events) == _by_host(serial_events)
     full_count = len(_run(config, workers=1)[1])
     assert 0 < len(serial_events) < full_count
+
+
+def test_worker_span_trees_stay_apart_from_the_controllers(monkeypatch):
+    # Worker snapshots merge after the epoch span closes, so no worker
+    # host.step adopts a controller span (SMALL consolidates at epoch
+    # 4) and no worker span lands under fleet.epoch.
+    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
+    obs.enable(Telemetry(clock=Clock()))
+    sim = ClusterSimulation(replace(SMALL, adaptive_parallel=False))
+    sim.run(workers=2)
+    trees = build_span_trees(obs.get().span_trace())
+    obs.disable()
+    obs.clear_context()
+    if len(sim.ipc_bytes_epochs) != SMALL.epochs:  # pragma: no cover
+        pytest.skip("sandbox cannot fork")
+    assert sum(tree.name == "fleet.epoch" for tree in trees) == SMALL.epochs
+    assert any(tree.name == "host.step" for tree in trees)
+    for tree in trees:
+        stack = list(tree.children)
+        while stack:
+            node = stack.pop()
+            assert node.host == tree.host, (tree.name, node.name)
+            stack.extend(node.children)
 
 
 def test_telemetry_never_changes_results():
@@ -125,9 +147,9 @@ def test_telemetry_never_changes_results():
 
 
 def test_adaptive_retraction_keeps_worker_events(monkeypatch):
-    # Adaptive runs may retract the pool after epoch 0: the sweep before
-    # retraction must preserve whatever the workers emitted, keeping the
-    # stream identical to the serial one.
+    # Adaptive runs may retract the pool after epoch 0: the step replies
+    # before retraction must carry whatever the workers emitted, keeping
+    # the stream identical to the serial one.
     monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
     config = replace(SMALL, adaptive_parallel=True)
     serial_result, serial_events, _ = _run(config, workers=1)

@@ -176,7 +176,7 @@ def test_merge_folds_metrics_spans_and_events():
 
 
 def test_repeated_snapshot_merge_counts_each_event_once():
-    # The spool drain runs every few epochs: volume counters must be
+    # Every fleet step reply carries a snapshot: volume counters must be
     # per-interval on the worker so the controller's totals are exact.
     controller = Telemetry(clock=Clock(wall=lambda: 0.0))
     worker = Telemetry(clock=Clock(wall=lambda: 0.0))
@@ -236,8 +236,8 @@ def test_disabled_facade_is_inert():
         obs.gauge("ignored", 1.0)
         obs.observe("ignored", 1.0)
     assert obs.get() is None
-    assert obs.snapshot_blob() is None
-    obs.merge_blob(None)  # tolerated
+    assert obs.snapshot() is None
+    obs.merge(None)  # tolerated
 
 
 def test_enable_emit_and_reset_keep_shape():
@@ -252,13 +252,18 @@ def test_enable_emit_and_reset_keep_shape():
     assert not fresh.events()
 
 
-def test_snapshot_blob_roundtrip_through_facade():
+def test_reset_keeps_span_capacity():
+    obs.enable(Telemetry(span_capacity=5))
+    assert obs.reset().span_capacity == 5
+
+
+def test_snapshot_roundtrip_through_facade():
     obs.enable(clock=Clock(wall=lambda: 0.0))
     obs.emit_at("worker.tick", 2, 0, value=7)
-    blob = obs.snapshot_blob()
-    assert isinstance(blob, bytes)
+    # The snapshot crosses a pipe as a pickle, like a worker's reply.
+    snapshot = pickle.loads(pickle.dumps(obs.snapshot()))
     assert not obs.get().events()  # reset on snapshot
-    obs.merge_blob(blob)
+    obs.merge(snapshot)
     events = obs.get().events()
     assert [(e.kind, e.host) for e in events] == [("worker.tick", 2)]
 
