@@ -159,12 +159,12 @@ class ReservedRegionPool:
     def _release(self, reservation: _Reservation) -> int:
         self._remove(reservation)
         start = reservation.pregion * PAGES_PER_HUGE
-        released = 0
-        for frame in range(start, start + PAGES_PER_HUGE):
-            if frame not in reservation.handed:
-                self.layer.memory.free(frame, 0)
-                released += 1
-        return released
+        frames = [
+            frame for frame in range(start, start + PAGES_PER_HUGE)
+            if frame not in reservation.handed
+        ]
+        self.layer.memory.free_frames(frames)
+        return len(frames)
 
     def _remove(self, reservation: _Reservation) -> None:
         del self._reservations[reservation.pregion]

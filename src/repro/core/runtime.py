@@ -28,7 +28,7 @@ from repro.core.policy import GeminiGuestPolicy, GeminiHostPolicy
 from typing import TYPE_CHECKING
 
 from repro.mem.fragmentation import fmfi
-from repro.mem.layout import PAGES_PER_HUGE, huge_align_up
+from repro.mem.layout import PAGES_PER_HUGE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hypervisor.platform import Platform
@@ -249,14 +249,10 @@ class GeminiRuntime:
 
     def _free_host_region(self) -> int | None:
         """Lowest free huge-aligned host region, or None."""
-        # An aligned fit needs at least PAGES_PER_HUGE free pages, so only
-        # the region index's large entries can qualify; they ascend by
-        # start frame, so the first hit is the lowest such region.
-        for start, npages in self.platform.memory.large_free_regions():
-            aligned = huge_align_up(start)
-            if aligned + PAGES_PER_HUGE <= start + npages:
-                return aligned // PAGES_PER_HUGE
-        return None
+        # The aligned free regions ascend by frame, so the first one
+        # starts the lowest free huge-aligned region.
+        regions = self.platform.memory.aligned_free_regions()
+        return regions[0][0] // PAGES_PER_HUGE if regions else None
 
     # ------------------------------------------------------------------
     # Statistics

@@ -20,32 +20,25 @@ Beyond the standard ``alloc``/``free`` interface this allocator supports the
   checked once, before any block moves, so a refused range operation
   changes nothing.
 
+The free set is kept as two sorted views and nothing else: each order's
+free list is an ascending list of block starts (so the lowest block,
+Linux's ``__rmqueue_smallest`` pick, is its head), and the interval index
+holds the maximal free intervals.  Every other answer — the largest free
+interval, the huge-aligned free regions — is derived from them on demand.
+
 Addresses are base-page frame numbers (see :mod:`repro.mem.layout`).
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right, insort
+from itertools import chain
+from operator import sub
 from typing import Iterator
 
 from repro.mem.layout import HUGE_ORDER, MAX_ORDER
 
 __all__ = ["AllocationError", "BuddyAllocator"]
-
-#: Regions at least this large (one huge page) are tracked in a dedicated
-#: side list: they are the only candidates for huge-aligned placement, and
-#: under fragmentation they are rare while small intervals are plentiful.
-LARGE_REGION_PAGES = 1 << HUGE_ORDER
-
-#: Slack of the lazy-heap bound.  A lazy heap drops a stale entry only when
-#: it reaches the top, so unbounded it grows with every update: 5,000
-#: ``alloc(0)``/``free`` pairs on a fresh 4096-page allocator left 120,002
-#: region-heap entries for one live interval, and 5,000 entries in each of
-#: 11 free-list heaps holding no block.  Each heap is rebuilt from its live
-#: entries once it holds more than ``2 * live + HEAP_SLACK`` entries, which
-#: costs amortised O(1) per update.
-HEAP_SLACK = 64
 
 
 class AllocationError(Exception):
@@ -68,27 +61,11 @@ class _RegionIndex:
     the recompute the single hottest path of a fragmented run.
     """
 
-    __slots__ = ("_starts", "_ends", "_heap", "_large")
+    __slots__ = ("_starts", "_ends")
 
     def __init__(self) -> None:
         self._starts: list[int] = []
         self._ends: list[int] = []
-        #: Lazy max-heap of (-size, start) candidates for max_region();
-        #: entries are validated against the arrays when they reach the
-        #: top, and the heap is rebuilt once it outgrows the live
-        #: intervals (see HEAP_SLACK).
-        self._heap: list[tuple[int, int]] = []
-        #: Sorted starts of intervals spanning >= LARGE_REGION_PAGES.
-        self._large: list[int] = []
-
-    def _large_add(self, start: int, size: int) -> None:
-        if size >= LARGE_REGION_PAGES:
-            insort(self._large, start)
-
-    def _large_drop(self, start: int, size: int) -> None:
-        if size >= LARGE_REGION_PAGES:
-            i = bisect_left(self._large, start)
-            del self._large[i]
 
     def add(self, start: int, end: int) -> None:
         """Insert free interval [start, end), merging with neighbours."""
@@ -96,72 +73,49 @@ class _RegionIndex:
         merge_prev = i > 0 and self._ends[i - 1] == start
         merge_next = i < len(self._starts) and self._starts[i] == end
         if merge_prev and merge_next:
-            self._large_drop(self._starts[i - 1], start - self._starts[i - 1])
-            self._large_drop(end, self._ends[i] - end)
-            end = self._ends[i]
+            self._ends[i - 1] = self._ends[i]
             del self._starts[i]
             del self._ends[i]
-            self._ends[i - 1] = end
-            start = self._starts[i - 1]
         elif merge_prev:
-            self._large_drop(self._starts[i - 1], start - self._starts[i - 1])
             self._ends[i - 1] = end
-            start = self._starts[i - 1]
         elif merge_next:
-            self._large_drop(end, self._ends[i] - end)
             self._starts[i] = start
-            end = self._ends[i]
         else:
             self._starts.insert(i, start)
             self._ends.insert(i, end)
-        self._large_add(start, end - start)
-        heapq.heappush(self._heap, (start - end, start))
-        if len(self._heap) > 2 * len(self._starts) + HEAP_SLACK:
-            self._rebuild_heap()
 
     def remove(self, start: int, end: int) -> None:
         """Carve allocated interval [start, end) out of its free interval."""
         i = bisect_right(self._starts, start) - 1
         s, e = self._starts[i], self._ends[i]
-        self._large_drop(s, e - s)
         if s == start and e == end:
             del self._starts[i]
             del self._ends[i]
         elif s == start:
             self._starts[i] = end
-            self._large_add(end, e - end)
-            heapq.heappush(self._heap, (end - e, end))
         elif e == end:
             self._ends[i] = start
-            self._large_add(s, start - s)
-            heapq.heappush(self._heap, (s - start, s))
         else:
             self._ends[i] = start
             self._starts.insert(i + 1, end)
             self._ends.insert(i + 1, e)
-            self._large_add(s, start - s)
-            self._large_add(end, e - end)
-            heapq.heappush(self._heap, (s - start, s))
-            heapq.heappush(self._heap, (end - e, end))
-        if len(self._heap) > 2 * len(self._starts) + HEAP_SLACK:
-            self._rebuild_heap()
-
-    def _rebuild_heap(self) -> None:
-        self._heap = [(s - e, s) for s, e in zip(self._starts, self._ends)]
-        heapq.heapify(self._heap)
 
     def regions(self) -> list[tuple[int, int]]:
         """Sorted (start, npages) for every maximal free interval."""
         return [(s, e - s) for s, e in zip(self._starts, self._ends)]
 
-    def large_regions(self) -> list[tuple[int, int]]:
-        """Sorted (start, npages) for intervals >= LARGE_REGION_PAGES."""
+    def tails_from(self, frames: list[int]) -> list[tuple[int, int]]:
+        """(frame, pages to its interval's end) for the lowest of the
+        sorted free *frames* in each interval that holds one."""
         starts = self._starts
         ends = self._ends
         out = []
-        for start in self._large:
-            i = bisect_left(starts, start)
-            out.append((start, ends[i] - start))
+        k = 0
+        while k < len(frames):
+            frame = frames[k]
+            end = ends[bisect_right(starts, frame) - 1]
+            out.append((frame, end - frame))
+            k = bisect_left(frames, end, k)
         return out
 
     def iter_from(self, cursor: int):
@@ -177,9 +131,6 @@ class _RegionIndex:
         ends = self._ends
         for j in range(bisect_left(starts, cursor)):
             yield starts[j], ends[j] - starts[j]
-
-    def __len__(self) -> int:
-        return len(self._starts)
 
     def run_length(self, frame: int, limit: int) -> int:
         """Length (capped at *limit*) of the free run starting at *frame*."""
@@ -204,61 +155,13 @@ class _RegionIndex:
 
     def max_region(self) -> tuple[int, int] | None:
         """(start, npages) of the largest interval; ties favour the lowest
-        start (matching ``max(regions, key=size)`` over the sorted list)."""
-        heap = self._heap
-        while heap:
-            neg_size, start = heap[0]
-            i = bisect_left(self._starts, start)
-            if (
-                i < len(self._starts)
-                and self._starts[i] == start
-                and self._ends[i] - start == -neg_size
-            ):
-                return start, -neg_size
-            heapq.heappop(heap)
-        return None
-
-
-class _FreeList:
-    """One buddy free list: a set of block-start frames with O(log n) min.
-
-    The heap may contain stale entries (blocks that were since removed);
-    entries are validated against the set lazily on pop, and the heap is
-    rebuilt from the set once it outgrows it (see HEAP_SLACK; an add
-    cannot break the bound, a removal can).
-    """
-
-    def __init__(self) -> None:
-        self.blocks: set[int] = set()
-        self._heap: list[int] = []
-
-    def add(self, start: int) -> None:
-        self.blocks.add(start)
-        heapq.heappush(self._heap, start)
-
-    def remove(self, start: int) -> None:
-        self.blocks.remove(start)
-        if len(self._heap) > 2 * len(self.blocks) + HEAP_SLACK:
-            self._heap = sorted(self.blocks)
-
-    def pop_lowest(self) -> int:
-        """Remove and return the lowest-addressed block start."""
-        heap = self._heap
-        while heap:
-            start = heapq.heappop(heap)
-            if start in self.blocks:
-                self.remove(start)
-                return start
-        raise AllocationError("free list empty")
-
-    def __contains__(self, start: int) -> bool:
-        return start in self.blocks
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __bool__(self) -> bool:
-        return bool(self.blocks)
+        start (matching ``max(regions, key=size)`` over the sorted list).
+        A scan, as callers ask rarely."""
+        if not self._starts:
+            return None
+        sizes = list(map(sub, self._ends, self._starts))
+        size = max(sizes)
+        return self._starts[sizes.index(size)], size
 
 
 class BuddyAllocator:
@@ -277,7 +180,8 @@ class BuddyAllocator:
         self.base = base
         self.total_pages = total_pages
         self.free_pages = 0
-        self._free: list[_FreeList] = [_FreeList() for _ in range(MAX_ORDER + 1)]
+        #: One ascending list of block starts per order.
+        self._free: list[list[int]] = [[] for _ in range(MAX_ORDER + 1)]
         self._regions = _RegionIndex()
         self._seed_free_space(base, total_pages)
 
@@ -287,7 +191,7 @@ class BuddyAllocator:
 
     def _seed_free_space(self, start: int, npages: int) -> None:
         for block, order in _decompose(start, npages):
-            self._free[order].add(block)
+            insort(self._free[order], block)
         self.free_pages += npages
         self._regions.add(start, start + npages)
 
@@ -305,11 +209,11 @@ class BuddyAllocator:
         self._check_order(order)
         for source in range(order, MAX_ORDER + 1):
             if self._free[source]:
-                start = self._free[source].pop_lowest()
+                start = self._free[source].pop(0)
                 # Split down to *order*, freeing each upper half.
                 while source > order:
                     source -= 1
-                    self._free[source].add(start + (1 << source))
+                    insort(self._free[source], start + (1 << source))
                 self.free_pages -= 1 << order
                 self._regions.remove(start, start + (1 << order))
                 return start
@@ -335,12 +239,12 @@ class BuddyAllocator:
                     break
             else:
                 raise AllocationError("no free block of order >= 0")
-            start = self._free[source].pop_lowest()
+            start = self._free[source].pop(0)
             size = 1 << source
             take = size if size <= remaining else remaining
             frames.extend(range(start, start + take))
             for block, border in _decompose(start + take, size - take):
-                self._free[border].add(block)
+                insort(self._free[border], block)
             self.free_pages -= take
             self._regions.remove(start, start + take)
             remaining -= take
@@ -462,9 +366,9 @@ class BuddyAllocator:
         return self._regions.run_length(start, npages) >= npages
 
     def free_blocks(self) -> Iterator[tuple[int, int]]:
-        """Yield (start, order) for every free block, unsorted."""
+        """Yield (start, order) for every free block, by order, then start."""
         for order in range(MAX_ORDER + 1):
-            for start in self._free[order].blocks:
+            for start in self._free[order]:
                 yield start, order
 
     def free_block_counts(self) -> list[int]:
@@ -481,9 +385,16 @@ class BuddyAllocator:
         """
         return self._regions.regions()
 
-    def large_free_regions(self) -> list[tuple[int, int]]:
-        """Sorted (start, npages) free regions of at least one huge page."""
-        return self._regions.large_regions()
+    def aligned_free_regions(self) -> list[tuple[int, int]]:
+        """Sorted (first huge-aligned frame, pages to the region's end) for
+        every free region that holds a free huge-aligned huge page.
+
+        The free lists are canonical, so a region holds such a page exactly
+        when it holds a free block of order >= HUGE_ORDER, and its lowest
+        such block starts at the region's first huge-aligned frame.
+        """
+        blocks = sorted(chain.from_iterable(self._free[HUGE_ORDER:]))
+        return self._regions.tails_from(blocks)
 
     def iter_free_regions_from(self, cursor: int):
         """Iterate (start, npages) free regions with start >= *cursor*."""
@@ -544,18 +455,20 @@ class BuddyAllocator:
         the interval index."""
         for corder in range(order, MAX_ORDER + 1):
             cstart = start - (start % (1 << corder))
-            if cstart in self._free[corder]:
+            blocks = self._free[corder]
+            i = _position(blocks, cstart)
+            if i >= 0:
                 break
         else:
             raise AllocationError(f"block ({start}, order {order}) not fully free")
-        self._free[corder].remove(cstart)
+        del blocks[i]
         while corder > order:
             corder -= 1
             high = cstart + (1 << corder)
             if start < high:
-                self._free[corder].add(high)
+                insort(self._free[corder], high)
             else:
-                self._free[corder].add(cstart)
+                insort(self._free[corder], cstart)
                 cstart = high
 
     def _merge_in(self, start: int, order: int) -> None:
@@ -566,17 +479,25 @@ class BuddyAllocator:
         buddy free, so the free lists are a function of the free set."""
         while order < MAX_ORDER:
             buddy = start ^ (1 << order)
-            if buddy not in self._free[order]:
+            blocks = self._free[order]
+            i = _position(blocks, buddy)
+            if i < 0:
                 break
-            self._free[order].remove(buddy)
+            del blocks[i]
             start = min(start, buddy)
             order += 1
-        self._free[order].add(start)
+        insort(self._free[order], start)
 
     @staticmethod
     def _check_order(order: int) -> None:
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order out of range [0, {MAX_ORDER}]: {order}")
+
+
+def _position(blocks: list[int], start: int) -> int:
+    """Index of *start* in the ascending free list *blocks*, or -1."""
+    i = bisect_left(blocks, start)
+    return i if i < len(blocks) and blocks[i] == start else -1
 
 
 def _decompose(start: int, npages: int) -> Iterator[tuple[int, int]]:

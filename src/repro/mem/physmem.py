@@ -145,11 +145,13 @@ class PhysicalMemory:
             regions.extend(allocator.free_regions())
         return regions
 
-    def large_free_regions(self) -> list[tuple[int, int]]:
-        """Free regions of at least one huge page, sorted by start frame."""
+    def aligned_free_regions(self) -> list[tuple[int, int]]:
+        """(first huge-aligned frame, pages to the region's end) for every
+        free region holding a free huge-aligned huge page, sorted by frame;
+        regions never span a node boundary."""
         regions: list[tuple[int, int]] = []
         for allocator in self.nodes:
-            regions.extend(allocator.large_free_regions())
+            regions.extend(allocator.aligned_free_regions())
         return regions
 
     def iter_free_regions_split(self, cursor: int):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.mem.layout import PAGES_PER_HUGE, huge_align_down, huge_align_up
+from repro.mem.layout import PAGES_PER_HUGE, huge_align_down
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.os.mm import MemoryLayer
@@ -79,15 +79,10 @@ class ContiguityList:
         return self._find_unaligned(span)
 
     def _find_aligned(self, span: int) -> int | None:
-        # Only regions of at least one huge page can survive the alignment
-        # padding, so the allocator's (short) large-region list is the
-        # complete candidate set.
-        usable = []
-        for start, size in self._layer.memory.large_free_regions():
-            aligned = huge_align_up(start)
-            remaining = size - (aligned - start)
-            if remaining >= PAGES_PER_HUGE:
-                usable.append((aligned, remaining))
+        # Each candidate is a free region cut to start at its first
+        # huge-aligned frame; the allocator derives the regions that keep
+        # at least one huge page from its high-order free lists.
+        usable = self._layer.memory.aligned_free_regions()
         if not usable:
             return None
         ordered = self._from_cursor(usable)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.buddy import AllocationError, BuddyAllocator
-from repro.mem.layout import MAX_ORDER
+from repro.mem.layout import MAX_ORDER, PAGES_PER_HUGE, huge_align_up
 
 TOTAL = 2048
 
@@ -222,15 +222,18 @@ def expected_regions(owned):
     return regions
 
 
+def expected_aligned(regions):
+    """Each region cut to its first huge-aligned frame, where at least one
+    huge page is left."""
+    cut = [(huge_align_up(s), s + n - huge_align_up(s)) for s, n in regions]
+    return [(s, n) for s, n in cut if n >= PAGES_PER_HUGE]
+
+
 def check_queries(buddy, owned):
     """Every free-interval query agrees with a recompute from *owned*."""
-    from repro.mem.buddy import LARGE_REGION_PAGES
-
     expected = expected_regions(owned)
     assert buddy.free_regions() == expected
-    assert buddy.large_free_regions() == [
-        r for r in expected if r[1] >= LARGE_REGION_PAGES
-    ]
+    assert buddy.aligned_free_regions() == expected_aligned(expected)
     assert buddy.max_free_region() == max(expected, key=lambda r: r[1], default=None)
     assert buddy.free_pages == TOTAL - len(owned)
     for rstart, rpages in expected:
@@ -292,24 +295,9 @@ def release(buddy, op, start, npages):
     return range(start, start + npages)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(OPS),
-            st.integers(min_value=0, max_value=TOTAL - 1),
-            st.integers(min_value=0, max_value=MAX_ORDER),
-        ),
-        min_size=1,
-        max_size=40,
-    )
-)
-def test_region_index_consistent_with_free_blocks(ops):
-    """The incremental region index (free_regions, large regions, run
-    lengths, max region, free page count) agrees with a recompute from the
-    ground-truth free set after every operation of a random mix of every
-    claim and release, however many buddy splits or merges it made."""
-    buddy = BuddyAllocator(TOTAL)
+def run_ops(buddy, ops, after_each=None):
+    """Apply a mix of claims and releases; call *after_each(owned)* with
+    the ground-truth allocated set after every operation."""
     owned: set[int] = set()
     live: list[tuple[int, int]] = []
     for op, a, b in ops:
@@ -325,22 +313,51 @@ def test_region_index_consistent_with_free_blocks(ops):
             owned -= set(freed)
             if len(freed) < npages:
                 live.append((start + len(freed), npages - len(freed)))
-        check_queries(buddy, owned)
+        if after_each is not None:
+            after_each(owned)
 
 
-def test_lazy_heaps_stay_bounded():
-    """Stale entries in the lazy heaps stay bounded by the live ones.
-    Unbounded, 5,000 alloc/free pairs leave 120,002 region-heap entries
-    for one free interval and 5,000 in each free-list heap below the top
-    order, while those lists hold no block."""
-    buddy = BuddyAllocator(4096)
-    for _ in range(5000):
-        buddy.free(buddy.alloc(0), 0)
-        assert len(buddy._regions._heap) <= 2 * len(buddy._regions) + 64
-        for free_list in buddy._free:
-            assert len(free_list._heap) <= 2 * len(free_list) + 64
-    assert buddy.free_regions() == [(0, 4096)]
-    assert buddy.max_free_region() == (0, 4096)
+MIXED_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(OPS),
+        st.integers(min_value=0, max_value=TOTAL - 1),
+        st.integers(min_value=0, max_value=MAX_ORDER),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=MIXED_OPS)
+def test_region_index_consistent_with_free_blocks(ops):
+    """The incremental region index (free_regions, aligned regions, run
+    lengths, max region, free page count) agrees with a recompute from the
+    ground-truth free set after every operation of a random mix of every
+    claim and release, however many buddy splits or merges it made."""
+    buddy = BuddyAllocator(TOTAL)
+    run_ops(buddy, ops, lambda owned: check_queries(buddy, owned))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=MIXED_OPS)
+def test_alloc_at_every_order_takes_lowest_block_of_smallest_fit(ops):
+    """After any mix of claims and releases, alloc(order) for each order
+    in turn serves the lowest start among the free blocks of the smallest
+    order >= *order* (Linux's __rmqueue_smallest), or raises when no such
+    block is free.  Each allocation's split remainders stay in order for
+    the next."""
+    buddy = BuddyAllocator(TOTAL)
+    run_ops(buddy, ops)
+    for order in range(MAX_ORDER + 1):
+        blocks = list(buddy.free_blocks())
+        fits = [o for _, o in blocks if o >= order]
+        if not fits:
+            with pytest.raises(AllocationError):
+                buddy.alloc(order)
+            continue
+        best = min(fits)
+        assert buddy.alloc(order) == min(s for s, o in blocks if o == best)
 
 
 def allocator_state(buddy):

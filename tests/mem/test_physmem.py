@@ -96,6 +96,24 @@ def test_free_regions_sorted_across_nodes():
     assert total == memory.free_pages
 
 
+def test_aligned_free_regions_stop_at_the_node_boundary():
+    """Node 1 starts mid-way through a huge region: the free pages on
+    either side of the boundary would hold an aligned huge page together,
+    but each node's aligned regions are its own."""
+    memory = PhysicalMemory(2560, nodes=2)
+    memory.alloc_range(0, 1024)
+    memory.alloc_range(1536, 1024)
+    assert memory.free_regions() == [(1024, 256), (1280, 256)]
+    assert memory.aligned_free_regions() == []
+    memory.free_range(0, 512)
+    memory.free_range(2048, 512)
+    assert memory.aligned_free_regions() == [(0, 512), (2048, 512)]
+    assert memory.aligned_free_regions() == (
+        memory.nodes[0].aligned_free_regions()
+        + memory.nodes[1].aligned_free_regions()
+    )
+
+
 def test_free_pages_at_or_above_aggregates_nodes():
     memory = PhysicalMemory(2048, nodes=2)
     assert memory.free_pages_at_or_above(9) == 2048
