@@ -1,11 +1,13 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-claim tests.
 
 The expensive simulation matrices are computed once per session and shared
-by the per-figure benchmarks.  Workload subsets and epoch counts are
-reduced relative to the full experiment API (`repro.experiments`) to keep
-``pytest benchmarks/ --benchmark-only`` in the minutes range; every
-workload family (latency server, K/V churn, static arrays) stays
-represented.  Formatted tables are written to ``benchmarks/results/``.
+by the per-figure tests.  Workload subsets and epoch counts are reduced
+relative to the full experiment API (`repro.experiments`) to keep
+``pytest benchmarks`` in the minutes range; every workload family (latency
+server, K/V churn, static arrays) stays represented.  Each table is written
+to ``benchmarks/results/`` by its experiment module's own formatter, the
+one ``repro experiment`` prints; the tables are tracked, and a run that
+changes one shows up in ``git status``.
 
 The matrix fixtures run through the shared executor
 (:mod:`repro.exec`): set ``REPRO_WORKERS`` to fan cells across processes,
@@ -57,24 +59,35 @@ def write_result(name: str, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def clean_fragmented():
-    return clean_slate.run_clean_slate(
+    results = clean_slate.run_clean_slate(
         fragmented=True, workloads=BENCH_SUITE, epochs=BENCH_EPOCHS
     )
+    write_result(
+        "clean_slate_fragmented", clean_slate.format_clean_slate(results, " (fragmented)")
+    )
+    return results
 
 
 @pytest.fixture(scope="session")
 def clean_unfragmented():
-    return clean_slate.run_clean_slate(
+    results = clean_slate.run_clean_slate(
         fragmented=False, workloads=BENCH_SUITE, epochs=BENCH_EPOCHS
     )
+    write_result(
+        "clean_slate_unfragmented",
+        clean_slate.format_clean_slate(results, " (unfragmented)"),
+    )
+    return results
 
 
 @pytest.fixture(scope="session")
 def reused_results():
-    return reused_mod.run_reused_vm(
+    results = reused_mod.run_reused_vm(
         workloads=["Redis", "RocksDB", "Masstree", "Specjbb", "SVM"],
         epochs=BENCH_EPOCHS,
     )
+    write_result("reused_vm", reused_mod.format_reused_vm(results))
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,8 @@ from conftest import write_result
 from repro.experiments.interplay import format_balloon, run_balloon_interplay
 
 
-def test_ablation_balloon(benchmark):
-    aware, naive = benchmark.pedantic(
-        lambda: run_balloon_interplay("Masstree"), rounds=1, iterations=1
-    )
+def test_ablation_balloon():
+    aware, naive = run_balloon_interplay("Masstree")
     write_result("ablation_balloon", format_balloon([aware, naive]))
     # The alignment-aware rule demotes no more well-aligned huge pages
     # than the naive policy and performs at least as well.

@@ -11,10 +11,8 @@ from conftest import write_result
 from repro.experiments.interplay import format_ksm, run_ksm_interplay
 
 
-def test_ablation_ksm(benchmark):
-    outcomes = benchmark.pedantic(
-        lambda: run_ksm_interplay("Specjbb", epochs=10), rounds=1, iterations=1
-    )
+def test_ablation_ksm():
+    outcomes = run_ksm_interplay("Specjbb", epochs=10)
     write_result("ablation_ksm", format_ksm(outcomes))
     by_variant = {o.variant: o for o in outcomes}
     gentle = by_variant["no break-huge"]

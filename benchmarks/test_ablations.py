@@ -1,6 +1,6 @@
 """Benchmark: ablations of Gemini's design choices (beyond the paper's
 figures — booking-timeout adaptation, preallocation threshold, bucket
-hold time), plus a raw engine-speed benchmark."""
+hold time)."""
 
 from conftest import write_result
 
@@ -10,16 +10,10 @@ from repro.experiments.ablations import (
     run_prealloc_sweep,
     run_timeout_ablation,
 )
-from repro.sim import Simulation, SimulationConfig
-from repro.workloads import make_workload
 
 
-def test_ablation_timeout(benchmark):
-    results = benchmark.pedantic(
-        lambda: run_timeout_ablation(workloads=["Redis"], epochs=12),
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_timeout():
+    results = run_timeout_ablation(workloads=["Redis"], epochs=12)
     write_result(
         "ablation_timeout", format_ablation(results, "Booking timeout (Algorithm 1)")
     )
@@ -31,10 +25,8 @@ def test_ablation_timeout(benchmark):
     assert adaptive.throughput >= min(f.throughput for f in fixed) * 0.95
 
 
-def test_ablation_prealloc_threshold(benchmark):
-    results = benchmark.pedantic(
-        lambda: run_prealloc_sweep("Redis", epochs=12), rounds=1, iterations=1
-    )
+def test_ablation_prealloc_threshold():
+    results = run_prealloc_sweep("Redis", epochs=12)
     write_result(
         "ablation_prealloc", format_ablation(results, "Huge preallocation threshold")
     )
@@ -42,28 +34,11 @@ def test_ablation_prealloc_threshold(benchmark):
     assert all(r.throughput > 0 for r in row.values())
 
 
-def test_ablation_bucket_hold(benchmark):
-    results = benchmark.pedantic(
-        lambda: run_bucket_hold_sweep("Redis", epochs=12), rounds=1, iterations=1
-    )
+def test_ablation_bucket_hold():
+    results = run_bucket_hold_sweep("Redis", epochs=12)
     write_result("ablation_bucket_hold", format_ablation(results, "Bucket hold time"))
     row = results["Redis"]
     # Holding freed aligned pages longer must not hurt alignment.
     short = row["hold=1"].well_aligned_rate
     long = row["hold=16"].well_aligned_rate
     assert long >= short - 0.1
-
-
-def test_engine_speed(benchmark):
-    """Raw simulator speed: one full Gemini run of a churny workload."""
-
-    def run():
-        config = SimulationConfig(
-            epochs=8, fragment_guest=0.5, fragment_host=0.5
-        )
-        return Simulation(
-            make_workload("Masstree"), system="Gemini", config=config
-        ).run_single()
-
-    result = benchmark(run)
-    assert result.throughput > 0

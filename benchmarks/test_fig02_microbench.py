@@ -6,12 +6,9 @@ from conftest import write_result
 from repro.experiments.fig02_microbench import format_fig02
 
 
-def test_fig02_microbench(benchmark, fig02_points):
+def test_fig02_microbench(fig02_points):
     points = fig02_points
-    table = benchmark.pedantic(
-        lambda: format_fig02(points), rounds=1, iterations=1
-    )
-    write_result("fig02_microbench", table)
+    write_result("fig02_microbench", format_fig02(points))
 
     by_key = {(p.dataset_mib, p.system): p for p in points}
     small, large = 1.0, 64.0

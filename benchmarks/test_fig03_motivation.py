@@ -7,10 +7,9 @@ from repro.experiments.fig03_motivation import format_fig03, table1_alignment
 from repro.experiments.common import normalize
 
 
-def test_fig03_and_table1(benchmark, motivation_results):
+def test_fig03_and_table1(motivation_results):
     results = motivation_results
-    text = benchmark.pedantic(lambda: format_fig03(results), rounds=1, iterations=1)
-    write_result("fig03_table1_motivation", text)
+    write_result("fig03_table1_motivation", format_fig03(results))
 
     throughput = normalize(results, "throughput")
     alignment = table1_alignment(results)

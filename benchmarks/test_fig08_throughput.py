@@ -1,20 +1,13 @@
 """Benchmark: Figure 8 — clean-slate throughput, fragmented and
 unfragmented memory."""
 
-from conftest import average, write_result
+from conftest import average
 
 from repro.experiments.clean_slate import fig08_throughput
-from repro.experiments.common import format_table
 
 
-def test_fig08_fragmented(benchmark, clean_fragmented):
-    table = benchmark.pedantic(
-        lambda: fig08_throughput(clean_fragmented), rounds=1, iterations=1
-    )
-    write_result(
-        "fig08_throughput_fragmented",
-        format_table(table, "Figure 8 (fragmented): throughput vs Host-B-VM-B"),
-    )
+def test_fig08_fragmented(clean_fragmented):
+    table = fig08_throughput(clean_fragmented)
     gemini = average(table, "Gemini")
     # Gemini delivers the best average throughput, well above baseline...
     assert gemini > 1.2
@@ -28,14 +21,8 @@ def test_fig08_fragmented(benchmark, clean_fragmented):
         assert ranger <= average(table, system) + 0.05, system
 
 
-def test_fig08_unfragmented(benchmark, clean_unfragmented):
-    table = benchmark.pedantic(
-        lambda: fig08_throughput(clean_unfragmented), rounds=1, iterations=1
-    )
-    write_result(
-        "fig08_throughput_unfragmented",
-        format_table(table, "Figure 8 (unfragmented): throughput vs Host-B-VM-B"),
-    )
+def test_fig08_unfragmented(clean_unfragmented):
+    table = fig08_throughput(clean_unfragmented)
     gemini = average(table, "Gemini")
     assert gemini > 1.3
     for system in table[next(iter(table))]:

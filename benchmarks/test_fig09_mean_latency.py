@@ -1,19 +1,12 @@
 """Benchmark: Figure 9 — clean-slate mean latencies."""
 
-from conftest import BENCH_LATENCY, average, write_result
+from conftest import BENCH_LATENCY, average
 
 from repro.experiments.clean_slate import fig09_mean_latency
-from repro.experiments.common import format_table
 
 
-def test_fig09_mean_latency(benchmark, clean_fragmented):
-    table = benchmark.pedantic(
-        lambda: fig09_mean_latency(clean_fragmented), rounds=1, iterations=1
-    )
-    write_result(
-        "fig09_mean_latency",
-        format_table(table, "Figure 9: mean latency vs Host-B-VM-B"),
-    )
+def test_fig09_mean_latency(clean_fragmented):
+    table = fig09_mean_latency(clean_fragmented)
     assert set(table) == set(BENCH_LATENCY)
     # Gemini cuts mean latency the most (paper: 57% reduction on average
     # vs Host-B-VM-B; baselines around 24%).

@@ -1,19 +1,12 @@
 """Benchmark: Figure 10 — clean-slate 99th-percentile latencies."""
 
-from conftest import average, write_result
+from conftest import average
 
 from repro.experiments.clean_slate import fig10_tail_latency
-from repro.experiments.common import format_table
 
 
-def test_fig10_tail_latency(benchmark, clean_fragmented):
-    table = benchmark.pedantic(
-        lambda: fig10_tail_latency(clean_fragmented), rounds=1, iterations=1
-    )
-    write_result(
-        "fig10_tail_latency",
-        format_table(table, "Figure 10: p99 latency vs Host-B-VM-B"),
-    )
+def test_fig10_tail_latency(clean_fragmented):
+    table = fig10_tail_latency(clean_fragmented)
     # Gemini reduces tail latency much more than the other systems
     # (paper: 60% vs 14% on average).
     gemini = average(table, "Gemini")

@@ -1,19 +1,12 @@
 """Benchmark: Figure 11 — clean-slate TLB misses, normalised to Gemini."""
 
-from conftest import average, write_result
+from conftest import average
 
 from repro.experiments.clean_slate import fig11_tlb_misses
-from repro.experiments.common import format_table
 
 
-def test_fig11_tlb_misses(benchmark, clean_fragmented):
-    table = benchmark.pedantic(
-        lambda: fig11_tlb_misses(clean_fragmented), rounds=1, iterations=1
-    )
-    write_result(
-        "fig11_tlb_misses",
-        format_table(table, "Figure 11: TLB misses (normalised to Gemini)", fmt="{:.1f}"),
-    )
+def test_fig11_tlb_misses(clean_fragmented):
+    table = fig11_tlb_misses(clean_fragmented)
     # Every other system suffers substantially more TLB misses than Gemini
     # (the paper reports 2.39x on average across the suite).
     for system in ("Host-B-VM-B", "Misalignment", "THP", "Ingens", "HawkEye"):

@@ -1,8 +1,7 @@
 """Benchmark: Figures 12-14 — throughput and latencies in a reused VM."""
 
-from conftest import average, write_result
+from conftest import average
 
-from repro.experiments.common import format_table
 from repro.experiments.reused_vm import (
     fig12_throughput,
     fig13_mean_latency,
@@ -10,14 +9,8 @@ from repro.experiments.reused_vm import (
 )
 
 
-def test_fig12_throughput(benchmark, reused_results):
-    table = benchmark.pedantic(
-        lambda: fig12_throughput(reused_results), rounds=1, iterations=1
-    )
-    write_result(
-        "fig12_reused_throughput",
-        format_table(table, "Figure 12: reused-VM throughput vs Host-B-VM-B"),
-    )
+def test_fig12_throughput(reused_results):
+    table = fig12_throughput(reused_results)
     gemini = average(table, "Gemini")
     assert gemini > 1.2
     for system in table[next(iter(table))]:
@@ -29,19 +22,9 @@ def test_fig12_throughput(benchmark, reused_results):
     )
 
 
-def test_fig13_fig14_latencies(benchmark, reused_results):
-    def both():
-        return fig13_mean_latency(reused_results), fig14_tail_latency(reused_results)
-
-    mean_table, tail_table = benchmark.pedantic(both, rounds=1, iterations=1)
-    write_result(
-        "fig13_reused_mean_latency",
-        format_table(mean_table, "Figure 13: reused-VM mean latency vs Host-B-VM-B"),
-    )
-    write_result(
-        "fig14_reused_tail_latency",
-        format_table(tail_table, "Figure 14: reused-VM p99 latency vs Host-B-VM-B"),
-    )
+def test_fig13_fig14_latencies(reused_results):
+    mean_table = fig13_mean_latency(reused_results)
+    tail_table = fig14_tail_latency(reused_results)
     # Gemini reduces both mean and tail latency vs the baseline and at
     # least matches every other system on average.
     assert average(mean_table, "Gemini") < 0.9

@@ -1,19 +1,12 @@
 """Benchmark: Figure 15 — reused-VM TLB misses, normalised to Gemini."""
 
-from conftest import average, write_result
+from conftest import average
 
-from repro.experiments.common import format_table
 from repro.experiments.reused_vm import fig15_tlb_misses
 
 
-def test_fig15_reused_tlb(benchmark, reused_results):
-    table = benchmark.pedantic(
-        lambda: fig15_tlb_misses(reused_results), rounds=1, iterations=1
-    )
-    write_result(
-        "fig15_reused_tlb",
-        format_table(table, "Figure 15: reused-VM TLB misses (norm. to Gemini)", fmt="{:.1f}"),
-    )
+def test_fig15_reused_tlb(reused_results):
+    table = fig15_tlb_misses(reused_results)
     # Other systems suffer far more misses than Gemini in the reused VM
     # (the paper reports 4.6x on average: splintered stale huge pages).
     for system in ("Host-B-VM-B", "THP", "Ingens", "HawkEye"):

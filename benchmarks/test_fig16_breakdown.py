@@ -6,10 +6,8 @@ from conftest import write_result
 from repro.experiments.breakdown import contributions, format_breakdown
 
 
-def test_fig16_breakdown(benchmark, breakdown_results):
-    table = benchmark.pedantic(
-        lambda: contributions(breakdown_results), rounds=1, iterations=1
-    )
+def test_fig16_breakdown(breakdown_results):
+    table = contributions(breakdown_results)
     write_result("fig16_breakdown", format_breakdown(breakdown_results))
 
     # Both mechanisms contribute on every workload; EMA/HB dominates on

@@ -5,20 +5,13 @@ from conftest import write_result
 
 from repro.experiments.collocation import (
     fig17_throughput,
-    fig18_mean_latency,
     format_collocation,
     gemini_overhead,
 )
 
 
-def test_fig17_18_collocation(benchmark, collocation_results):
-    def analyse():
-        return (
-            fig17_throughput(collocation_results),
-            fig18_mean_latency(collocation_results),
-        )
-
-    throughput, latency = benchmark.pedantic(analyse, rounds=1, iterations=1)
+def test_fig17_18_collocation(collocation_results):
+    throughput = fig17_throughput(collocation_results)
     write_result("fig17_18_collocation", format_collocation(collocation_results))
 
     # Gemini performs best on the TLB-sensitive halves of each pair.

@@ -7,16 +7,12 @@ from conftest import write_result
 from repro.experiments.validation import format_validation, run_validation
 
 
-def test_model_validation(benchmark):
-    points = benchmark.pedantic(
-        lambda: run_validation(
-            workloads=["Masstree", "SVM"],
-            systems=["Host-B-VM-B", "THP", "Gemini"],
-            epochs=6,
-            trace_accesses=40_000,
-        ),
-        rounds=1,
-        iterations=1,
+def test_model_validation():
+    points = run_validation(
+        workloads=["Masstree", "SVM"],
+        systems=["Host-B-VM-B", "THP", "Gemini"],
+        epochs=6,
+        trace_accesses=40_000,
     )
     write_result("model_validation", format_validation(points))
     assert points

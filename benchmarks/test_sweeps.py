@@ -14,15 +14,9 @@ from repro.experiments.sweeps import (
 )
 
 
-def test_sweeps(benchmark):
-    def run_both():
-        frag = run_fragmentation_sweep(
-            "Masstree", levels=[0.0, 0.6, 0.9], epochs=10
-        )
-        tlb = run_tlb_sweep("Masstree", entries=[96, 384, 6144], epochs=10)
-        return frag, tlb
-
-    frag, tlb = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_sweeps():
+    frag = run_fragmentation_sweep("Masstree", levels=[0.0, 0.6, 0.9], epochs=10)
+    tlb = run_tlb_sweep("Masstree", entries=[96, 384, 6144], epochs=10)
     write_result(
         "sweeps",
         format_sweep(frag, "Fragmentation sweep (Masstree)")

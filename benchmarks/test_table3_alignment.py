@@ -1,19 +1,12 @@
 """Benchmark: Table 3 — clean-slate rates of well-aligned huge pages."""
 
-from conftest import average, write_result
+from conftest import average
 
 from repro.experiments.clean_slate import table3_alignment
-from repro.experiments.common import format_table
 
 
-def test_table3_alignment(benchmark, clean_fragmented):
-    table = benchmark.pedantic(
-        lambda: table3_alignment(clean_fragmented), rounds=1, iterations=1
-    )
-    write_result(
-        "table3_alignment",
-        format_table(table, "Table 3: well-aligned huge page rates", fmt="{:.0%}"),
-    )
+def test_table3_alignment(clean_fragmented):
+    table = table3_alignment(clean_fragmented)
     # Gemini forms the largest rate of well-aligned huge pages (paper:
     # 50-81%, 66% on average; baselines up to ~46%).  Per-workload, a
     # small tolerance absorbs simulator noise on the static workloads.

@@ -1,20 +1,13 @@
 """Benchmark: Table 4 — reused-VM rates of well-aligned huge pages, plus
 the huge-bucket reuse statistic of Section 6.3."""
 
-from conftest import average, write_result
+from conftest import average
 
-from repro.experiments.common import format_table
 from repro.experiments.reused_vm import bucket_reuse_rates, table4_alignment
 
 
-def test_table4_alignment(benchmark, reused_results):
-    table = benchmark.pedantic(
-        lambda: table4_alignment(reused_results), rounds=1, iterations=1
-    )
-    write_result(
-        "table4_alignment",
-        format_table(table, "Table 4: reused-VM well-aligned rates", fmt="{:.0%}"),
-    )
+def test_table4_alignment(reused_results):
+    table = table4_alignment(reused_results)
     # Reuse raises everyone's rates vs the clean slate (Table 4 vs 3), but
     # Gemini still leads on every workload (paper: 75-99%).
     for workload, row in table.items():
@@ -26,13 +19,8 @@ def test_table4_alignment(benchmark, reused_results):
     assert average(table, "Gemini") >= 0.7
 
 
-def test_bucket_reuse_rate(benchmark, reused_results):
-    rates = benchmark.pedantic(
-        lambda: bucket_reuse_rates(reused_results), rounds=1, iterations=1
-    )
-    lines = ["Gemini huge-bucket reuse rates (Section 6.3):"]
-    lines += [f"  {w}: {v:.0%}" for w, v in rates.items()]
-    write_result("bucket_reuse", "\n".join(lines))
+def test_bucket_reuse_rate(reused_results):
+    rates = bucket_reuse_rates(reused_results)
     # The bucket recycles the majority of freed well-aligned huge pages
     # (the paper reports 88% on average).
     assert rates, "no Gemini bucket statistics collected"

@@ -463,16 +463,13 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace <experiment>``: experiment + telemetry + export.
 
-    Forces collection on, defaults the export directory to
-    ``trace/<name>``, and bypasses the result cache unless one was asked
-    for explicitly — cache hits skip the runs that emit the events.
+    Forces collection on and defaults the export directory to
+    ``trace/<name>``.
     """
     import os
 
     if not os.environ.get("REPRO_TRACE_OUT", "").strip():
         os.environ["REPRO_TRACE_OUT"] = os.path.join("trace", args.name)
-    if args.cache_dir is None:
-        os.environ["REPRO_CACHE_DIR"] = ""
     obs.configure_from_env()
     return _cmd_experiment(args)
 

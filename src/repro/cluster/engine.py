@@ -578,10 +578,13 @@ def run_cluster(
 
     When *cache* is None, ``REPRO_CACHE_DIR`` (if set) provides one; the
     worker count only affects wall-clock time, never the result, so it is
-    not part of the cache key.
+    not part of the cache key.  A traced run bypasses the cache, whose
+    hits would leave the fleet's telemetry out of the trace.
     """
     config = config or ClusterConfig()
-    if cache is None:
+    if obs.enabled():
+        cache = None
+    elif cache is None:
         cache = ResultCache.from_env(expected=FleetResult)
     key = fleet_key(config) if cache is not None else None
     if cache is not None:

@@ -21,6 +21,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
+from repro import obs
 from repro.exec.cache import ResultCache, cell_key
 from repro.exec.cells import Cell, execute_cell
 from repro.sim.results import RunResult
@@ -106,10 +107,14 @@ def run_cells(
     simulation actually runs.  With a cache, cached cells are loaded,
     duplicate cells within the call run once, and fresh results are
     stored.  When *cache* is None, ``REPRO_CACHE_DIR`` (if set) provides
-    one.
+    one.  With telemetry on, every cell runs here and the cache is neither
+    read nor written: a cache hit or a worker process would leave the
+    cell's telemetry out of the trace.
     """
     cells = list(cells)
-    if cache is None:
+    if obs.enabled():
+        cache, workers = None, 1
+    elif cache is None:
         cache = ResultCache.from_env()
     results: list[RunResult | None] = [None] * len(cells)
 

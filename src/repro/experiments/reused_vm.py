@@ -104,7 +104,7 @@ def format_reused_vm(results: dict[str, dict[str, RunResult]]) -> str:
     ]
     reuse = bucket_reuse_rates(results)
     if reuse:
-        avg = sum(reuse.values()) / len(reuse)
-        parts.append("")
-        parts.append(f"Gemini huge-bucket reuse rate: {avg:.0%} on average")
+        parts += ["", "Gemini huge-bucket reuse rates (Section 6.3):"]
+        parts += [f"  {workload}: {rate:.0%}" for workload, rate in reuse.items()]
+        parts.append(f"  average: {sum(reuse.values()) / len(reuse):.0%}")
     return "\n".join(parts)

@@ -371,10 +371,6 @@ class BuddyAllocator:
             for start in self._free[order]:
                 yield start, order
 
-    def free_block_counts(self) -> list[int]:
-        """Number of free blocks at each order, index 0..MAX_ORDER."""
-        return [len(fl) for fl in self._free]
-
     def free_regions(self) -> list[tuple[int, int]]:
         """Merged, sorted list of maximal free regions as (start, npages).
 
@@ -420,13 +416,6 @@ class BuddyAllocator:
         """Largest maximal free region as (start, npages); ties resolve to
         the lowest start.  None when no memory is free."""
         return self._regions.max_region()
-
-    def largest_free_order(self) -> int:
-        """Largest order with a free block, or -1 if memory is exhausted."""
-        for order in range(MAX_ORDER, -1, -1):
-            if self._free[order]:
-                return order
-        return -1
 
     def free_pages_at_or_above(self, order: int) -> int:
         """Free pages sitting in blocks of at least the given order."""

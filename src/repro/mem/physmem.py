@@ -6,13 +6,12 @@ allocates guest physical frames (GPAs) from its own
 :class:`PhysicalMemory` representing the VM's guest-physical address space.
 
 The paper's evaluation server has two NUMA nodes; the collocation
-experiments (Figures 17 and 18) exercise the multi-node path, and Gemini's
-contiguity list searches the node closest to the allocating thread.
+experiments (Figures 17 and 18) exercise the multi-node path.  Allocation
+drains the nodes in index order, and no free region or buddy merge
+crosses a node boundary.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.mem.buddy import AllocationError, BuddyAllocator
 from repro.mem.layout import HUGE_ORDER
@@ -41,9 +40,9 @@ class PhysicalMemory:
     # Allocation
     # ------------------------------------------------------------------
 
-    def alloc(self, order: int = 0, node: int | None = None) -> int:
-        """Allocate a block, preferring *node* but falling back to others."""
-        for allocator in self._node_order(node):
+    def alloc(self, order: int = 0) -> int:
+        """Allocate a block from the first node that has one."""
+        for allocator in self.nodes:
             try:
                 return allocator.alloc(order)
             except AllocationError:
@@ -58,16 +57,16 @@ class PhysicalMemory:
         """Claim the exact page range (must lie within a single node)."""
         self.node_of(start).alloc_range(start, npages)
 
-    def alloc_frames(self, count: int, node: int | None = None) -> list[int]:
-        """Batch equivalent of ``[self.alloc(0, node) for _ in range(count)]``.
+    def alloc_frames(self, count: int) -> list[int]:
+        """Batch equivalent of ``[self.alloc(0) for _ in range(count)]``.
 
-        Sequential order-0 allocation drains each node in preference order
+        Sequential order-0 allocation drains each node in index order
         before falling back to the next, so the batch takes up to
         ``free_pages`` frames from each node's batch kernel in turn.
         """
         frames: list[int] = []
         remaining = count
-        for allocator in self._node_order(node):
+        for allocator in self.nodes:
             if remaining <= 0:
                 break
             take = min(remaining, allocator.free_pages)
@@ -111,13 +110,6 @@ class PhysicalMemory:
         for allocator in self.nodes:
             if allocator.base <= frame < allocator.base + allocator.total_pages:
                 return allocator
-        raise ValueError(f"frame {frame} outside physical memory")
-
-    def node_index_of(self, frame: int) -> int:
-        """Index of the NUMA node owning base frame *frame*."""
-        for index, allocator in enumerate(self.nodes):
-            if allocator.base <= frame < allocator.base + allocator.total_pages:
-                return index
         raise ValueError(f"frame {frame} outside physical memory")
 
     @property
@@ -194,20 +186,5 @@ class PhysicalMemory:
                 best = candidate
         return best
 
-    def free_blocks(self) -> Iterator[tuple[int, int]]:
-        for allocator in self.nodes:
-            yield from allocator.free_blocks()
-
     def free_pages_at_or_above(self, order: int = HUGE_ORDER) -> int:
         return sum(a.free_pages_at_or_above(order) for a in self.nodes)
-
-    def _node_order(self, node: int | None) -> Iterator[BuddyAllocator]:
-        if node is None:
-            yield from self.nodes
-            return
-        if not 0 <= node < len(self.nodes):
-            raise ValueError(f"node index out of range: {node}")
-        yield self.nodes[node]
-        for index, allocator in enumerate(self.nodes):
-            if index != node:
-                yield allocator

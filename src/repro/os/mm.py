@@ -494,10 +494,10 @@ class MemoryLayer:
             )
         return spans
 
-    def alloc_base_frame(self, node: int | None = None) -> int:
+    def alloc_base_frame(self) -> int:
         """Allocate one frame, invoking policy reclaim under pressure."""
         try:
-            return self.memory.alloc(0, node=node)
+            return self.memory.alloc(0)
         except AllocationError:
             released = self.policy.on_pressure()
             if released <= 0 and self.reclaimer is not None:
@@ -505,14 +505,14 @@ class MemoryLayer:
             if released <= 0:
                 raise OutOfMemory(f"{self.name}: out of memory") from None
             try:
-                return self.memory.alloc(0, node=node)
+                return self.memory.alloc(0)
             except AllocationError:
                 raise OutOfMemory(f"{self.name}: out of memory") from None
 
-    def alloc_huge_region(self, node: int | None = None) -> int | None:
+    def alloc_huge_region(self) -> int | None:
         """Allocate one huge-aligned 2 MiB region; None when unavailable."""
         try:
-            start = self.memory.alloc(HUGE_ORDER, node=node)
+            start = self.memory.alloc(HUGE_ORDER)
         except AllocationError:
             return None
         return start // PAGES_PER_HUGE

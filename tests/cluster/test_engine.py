@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.cluster import (
     ClusterConfig,
     ClusterSimulation,
@@ -14,6 +15,7 @@ from repro.cluster import (
 )
 from repro.cluster.config import ConsolidationConfig, MigrationConfig
 from repro.exec import ResultCache
+from repro.obs import Telemetry
 
 SMALL = ClusterConfig(
     hosts=3,
@@ -142,6 +144,22 @@ def test_run_cluster_caches_results(tmp_path):
     second = run_cluster(config, cache=cache)
     assert cache.stats.hits == 1
     assert first == second
+
+
+def test_traced_run_skips_a_warm_cache(tmp_path):
+    # A cache hit would leave the fleet's telemetry out of the trace.
+    config = replace(SMALL, epochs=2)
+    run_cluster(config, cache=ResultCache(tmp_path, expected=FleetResult))
+    warm = ResultCache(tmp_path, expected=FleetResult)
+    telemetry = obs.enable(Telemetry())
+    try:
+        run_cluster(config, cache=warm)
+    finally:
+        obs.disable()
+        obs.clear_context()
+    host_epochs = [e for e in telemetry.events() if e.kind == "host.epoch"]
+    assert len(host_epochs) == config.hosts * config.epochs
+    assert warm.stats.requests == 0
 
 
 def test_to_dict_is_json_friendly():

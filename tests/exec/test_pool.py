@@ -1,8 +1,10 @@
 """Tests for the parallel cell executor."""
 
+from repro import obs
 from repro.exec import Cell, ResultCache, execute_cell, resolve_workers, run_cells
 from repro.exec import pool
 from repro.experiments.common import run_matrix
+from repro.obs import Telemetry
 from repro.sim.config import SimulationConfig
 from repro.workloads.suite import make_workload
 
@@ -13,6 +15,17 @@ SMALL = SimulationConfig(epochs=3, fragment_guest=0.5, fragment_host=0.5)
 
 def _svm_primer():
     return make_workload("SVM")
+
+
+def traced_epochs(cells, **kwargs):
+    """The ``tenant.epoch`` events of one traced ``run_cells`` call."""
+    telemetry = obs.enable(Telemetry())
+    try:
+        run_cells(cells, **kwargs)
+    finally:
+        obs.disable()
+        obs.clear_context()
+    return [e.identity() for e in telemetry.events() if e.kind == "tenant.epoch"]
 
 
 def test_resolve_workers_precedence(monkeypatch):
@@ -112,3 +125,23 @@ def test_run_matrix_workers_and_cache_equivalence(monkeypatch, tmp_path):
             assert serial[workload][system] == parallel[workload][system]
             assert serial[workload][system] == cold[workload][system]
             assert serial[workload][system] == warm[workload][system]
+
+
+def test_traced_run_ignores_a_warm_cache(tmp_path):
+    # A cache hit would leave the cell's telemetry out of the trace.
+    cells = [Cell("Redis", "THP", CONFIG), Cell("SVM", "THP", CONFIG)]
+    cold = traced_epochs(cells, workers=1, cache=None)
+    assert len(cold) == 2 * CONFIG.epochs
+    run_cells(cells, workers=1, cache=ResultCache(tmp_path))
+    warm = ResultCache(tmp_path)
+    assert traced_epochs(cells, workers=1, cache=warm) == cold
+    assert warm.stats.requests == 0
+
+
+def test_traced_run_stays_in_process(monkeypatch):
+    # A worker process would keep the cell's telemetry to itself.
+    monkeypatch.setenv("REPRO_MIN_PARALLEL", "2")
+    cells = [Cell("Redis", "THP", CONFIG), Cell("SVM", "THP", CONFIG)]
+    assert traced_epochs(cells, workers=2, cache=None) == traced_epochs(
+        cells, workers=1, cache=None
+    )

@@ -240,9 +240,9 @@ def balloon_state(platform, vm, balloon, host_frames):
         "huge": list(ept.huge_mappings()),
         "populated": list(ept.populated_regions()),
         "host_free": platform.memory.free_regions(),
-        "host_blocks": [n.free_block_counts() for n in platform.memory.nodes],
+        "host_blocks": [list(n.free_blocks()) for n in platform.memory.nodes],
         "guest_free": vm.gpa_space.free_regions(),
-        "guest_blocks": [n.free_block_counts() for n in vm.gpa_space.nodes],
+        "guest_blocks": [list(n.free_blocks()) for n in vm.gpa_space.nodes],
         "owners": [host.owner_of_frame(f) for f in host_frames],
         "owner_counts": [dict(host.region_owner_counts(p)) for p in host_regions],
         "rmap_bits": [host.rmap_bits(p) for p in host_regions],

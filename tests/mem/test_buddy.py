@@ -13,8 +13,7 @@ def make(pages=4096, base=0):
 def test_initial_state_all_free():
     buddy = make(4096)
     assert buddy.free_pages == 4096
-    assert buddy.largest_free_order() == MAX_ORDER
-    assert buddy.free_block_counts()[MAX_ORDER] == 2
+    assert list(buddy.free_blocks()) == [(0, MAX_ORDER), (1 << MAX_ORDER, MAX_ORDER)]
 
 
 def test_rejects_bad_construction():
@@ -59,8 +58,7 @@ def test_free_merges_buddies_back_to_max_order():
     for frame in frames:
         buddy.free(frame, 0)
     assert buddy.free_pages == 2048
-    assert buddy.largest_free_order() == MAX_ORDER
-    assert buddy.free_block_counts()[MAX_ORDER] == 1
+    assert list(buddy.free_blocks()) == [(0, MAX_ORDER)]
 
 
 def test_free_does_not_merge_across_unallocated_hole():
@@ -71,9 +69,7 @@ def test_free_does_not_merge_across_unallocated_hole():
     buddy.free(a, 0)
     buddy.free(b, 0)
     # frames 0-1 merge to order 1, frame 3 stays order 0.
-    counts = buddy.free_block_counts()
-    assert counts[1] == 1
-    assert counts[0] == 1
+    assert list(buddy.free_blocks()) == [(3, 0), (0, 1)]
 
 
 def test_double_free_detected():
@@ -131,7 +127,7 @@ def test_alloc_range_and_free_range_roundtrip():
     assert buddy.is_free(400)
     buddy.free_range(100, 300)
     assert buddy.free_pages == 4096
-    assert buddy.largest_free_order() == MAX_ORDER
+    assert list(buddy.free_blocks()) == [(0, MAX_ORDER), (1 << MAX_ORDER, MAX_ORDER)]
 
 
 def test_alloc_range_partial_conflict_is_atomic():
@@ -197,8 +193,8 @@ def test_decompose_covers_exact_range():
     assert covered == list(range(100, 400))
 
 
-def test_largest_free_order_exhausted():
+def test_free_blocks_empty_when_exhausted():
     buddy = make(1)
-    assert buddy.largest_free_order() == 0
+    assert list(buddy.free_blocks()) == [(0, 0)]
     buddy.alloc(0)
-    assert buddy.largest_free_order() == -1
+    assert list(buddy.free_blocks()) == []

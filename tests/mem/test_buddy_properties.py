@@ -76,7 +76,7 @@ def test_alloc_everything_then_free_restores_full_memory(orders):
     for frame, order in live:
         buddy.free(frame, order)
     assert buddy.free_pages == TOTAL
-    assert buddy.largest_free_order() == MAX_ORDER
+    assert list(buddy.free_blocks()) == [(0, MAX_ORDER)]
     free_space_invariants(buddy)
 
 

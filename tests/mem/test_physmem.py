@@ -40,19 +40,11 @@ def test_uneven_split_gives_remainder_to_last_node():
 
 def test_node_preference_and_fallback():
     memory = PhysicalMemory(2048, nodes=2)
-    frame = memory.alloc(0, node=1)
-    assert memory.node_index_of(frame) == 1
-    # Exhaust node 1; allocation with node=1 falls back to node 0.
-    while memory.nodes[1].free_pages:
-        memory.nodes[1].alloc(0)
-    fallback = memory.alloc(0, node=1)
-    assert memory.node_index_of(fallback) == 0
-
-
-def test_alloc_invalid_node_rejected():
-    memory = PhysicalMemory(2048, nodes=2)
-    with pytest.raises(ValueError):
-        memory.alloc(0, node=2)
+    # Allocation drains node 0 first, then node 1 serves.
+    while memory.nodes[0].free_pages:
+        assert memory.node_of(memory.alloc(0)) is memory.nodes[0]
+    fallback = memory.alloc(0)
+    assert memory.node_of(fallback) is memory.nodes[1]
 
 
 def test_exhaustion_raises_allocation_error():
@@ -70,7 +62,7 @@ def test_node_of_and_out_of_range():
     with pytest.raises(ValueError):
         memory.node_of(2048)
     with pytest.raises(ValueError):
-        memory.node_index_of(-1)
+        memory.node_of(-1)
 
 
 def test_alloc_at_routes_to_owning_node():

@@ -316,7 +316,7 @@ def swap_state(platform, vm, controller):
             vm.guest.ledger.count("swap_in"), vm.guest.ledger.cycles("swap_in")
         ),
         "host_free": platform.memory.free_regions(),
-        "host_blocks": platform.memory.nodes[0].free_block_counts(),
+        "host_blocks": list(platform.memory.nodes[0].free_blocks()),
         "base": list(platform.ept(vm.id).base_mappings()),
     }
 
